@@ -2,14 +2,16 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.duckdb.DuckDBConnection
 
 /** DuckDB correctness oracle.
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
   * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * or a custom operator — "it ran" is not "it is correct". Each call
+  * bulk-loads the tables with DuckDB's Appender into a fresh in-memory
+  * database as VARCHAR columns (each value's ``toString``, null as NULL).
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -30,7 +32,7 @@ object Oracle {
           case x                    => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sorted(Ordering.Implicits.seqOrdering[Seq, String])
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
@@ -42,15 +44,12 @@ object Oracle {
         conn.createStatement.execute(
           s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
         )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        val app = conn.unwrap(classOf[DuckDBConnection]).createAppender("main", name)
+        try df.collect().foreach { r =>
+          app.beginRow()
+          cols.indices.foreach(i => app.append(Option(r.get(i)).map(_.toString).orNull))
+          app.endRow()
+        } finally app.close()
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData

@@ -16,12 +16,9 @@ class TpchSpec extends SparkSpec {
     "part" -> t.part.cache(),
   )
 
-  for (qf <- Seq(q1 _, q3 _, q5 _, q6 _, q12 _, q14 _)) {
-    val q = qf(Tpch(spark, sf = 0.01)) // name only; DataFrames built lazily below
+  for (q <- all(t)) {
     test(s"${q.name} matches the DuckDB oracle") {
-      val query = qf(t)
-      Oracle.assertEquivalent(query.spark, query.duckSql,
-        query.tables.map(n => n -> tables(n)): _*)
+      Oracle.assertEquivalent(q.spark, q.duckSql, q.tables.map(n => n -> tables(n)): _*)
     }
   }
 
