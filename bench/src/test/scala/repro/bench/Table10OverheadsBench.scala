@@ -13,14 +13,7 @@ class Table10OverheadsBench extends BenchSuite {
   private def row(p: String) = rows.find(_.policy == p).get
 
   test("Table 10 prints per-iteration overheads for every policy") {
-    emit(Tables.render("Table 10 — Algorithm overheads per iteration",
-      Seq("Component", "DDPG", "BO", "GBO", "RelM"),
-      Seq(
-        Seq("Statistics Collection (ms)") ++ rows.map(r => f"${r.statsCollectMs}%.3f"),
-        Seq("Model Fitting (ms)") ++ rows.map(r => f"${r.fitMs}%.3f"),
-        Seq("Model Probing (ms)") ++ rows.map(r => f"${r.probeMs}%.3f"),
-        Seq("Model Size (bytes)") ++ rows.map(r => if (r.modelSizeBytes == 0) "-" else r.modelSizeBytes.toString),
-      )))
+    emit(Tables.renderTable10(rows))
     assert(rows.map(_.policy) == Seq("DDPG", "BO", "GBO", "RelM"))
   }
 

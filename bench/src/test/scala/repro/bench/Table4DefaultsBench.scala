@@ -11,8 +11,7 @@ class Table4DefaultsBench extends BenchSuite {
   private lazy val rows = Tables.table4(hw)
 
   test("Table 4 reproduces the paper's default configuration verbatim") {
-    emit(Tables.render("Table 4 — MaxResourceAllocation + framework defaults (Cluster A)",
-      Seq("Parameter", "Value"), rows.map { case (k, v) => Seq(k, v) }))
+    emit(Tables.renderTable4(rows))
     val m = rows.toMap
     assert(m("Containers per Node") == "1")
     assert(m("Heap Size") == "4404MB")

@@ -18,12 +18,7 @@ class Table5ManualTuningBench extends BenchSuite {
   private lazy val rows = Tables.table5(sim)
 
   test("Table 5 rows print with runtime, hit ratio and GC overheads") {
-    emit(Tables.render("Table 5 — Manual tuning of PageRank (paper: 66*/59/49/53 min)",
-      Seq("Containers", "P", "Cache", "NR", "Runtime(min)", "CacheHit", "GC", "Status"),
-      rows.map(r => Seq(r.containers.toString, r.p.toString, f"${r.cacheCap}%.1f",
-        r.nr.toString, f"${r.result.runtimeMin}%.1f", f"${r.result.cacheHitRatio}%.2f",
-        f"${r.result.gcOverhead}%.2f",
-        if (r.result.aborted) "aborted" else s"${r.result.failedContainers} failures"))))
+    emit(Tables.renderTable5(rows))
     assert(rows.size == 4)
   }
 

@@ -11,21 +11,7 @@ class Table6StatsBench extends BenchSuite {
   private lazy val st = Tables.table6(sim)
 
   test("Table 6 prints the statistics vector next to the paper's") {
-    val paper = Seq(
-      ("N", "1", st.n.toString),
-      ("M_h", "4404MB", f"${st.mhMb}%.0fMB"),
-      ("CPU_avg", "35%", f"${st.cpuAvgPct}%.0f%%"),
-      ("Disk_avg", "2%", f"${st.diskAvgPct}%.0f%%"),
-      ("M_i", "115MB", f"${st.miMb}%.0fMB"),
-      ("M_c", "2300MB", f"${st.mcMb}%.0fMB"),
-      ("M_s", "0MB", f"${st.msMb}%.0fMB"),
-      ("M_u", "770MB", f"${st.muMb}%.0fMB"),
-      ("P", "2", st.p.toString),
-      ("H", "0.3", f"${st.h}%.2f"),
-      ("S", "0", f"${st.s}%.2f"),
-    )
-    emit(Tables.render("Table 6 — PageRank profile statistics",
-      Seq("Notation", "Paper", "Measured"), paper.map(t => Seq(t._1, t._2, t._3))))
+    emit(Tables.renderTable6(st))
   }
 
   test("container configuration matches the profiled default") {

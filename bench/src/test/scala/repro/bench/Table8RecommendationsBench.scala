@@ -18,11 +18,7 @@ class Table8RecommendationsBench extends BenchSuite {
   private val policies = Seq("Exhaustive", "DDPG", "BO", "GBO", "RelM")
 
   test("Table 8 prints every policy's recommendation per application") {
-    emit(Tables.render("Table 8 — Recommendations (runtime minutes; iterations = stress tests paid)",
-      Seq("App", "Policy", "Conf", "Runtime", "Fail", "Iters"),
-      for (a <- apps; p <- policies; r = t8.row(a, p))
-        yield Seq(a, p, Tables.fmtConf(r.conf), f"${r.runtimeMin}%.1f",
-          r.failedContainers.toString, r.iterations.toString)))
+    emit(Tables.renderTable8(t8))
     assert(t8.rows.size == apps.size * policies.size)
   }
 
@@ -96,11 +92,9 @@ class Table8RecommendationsBench extends BenchSuite {
   }
 
   test("Fig 21: TPC-H on Cluster B — RelM cuts the default runtime (paper 66→40 min)") {
-    val (default, tuned) = Tables.tpchHeadline()
-    emit(Tables.render("Fig 21 — TPC-H (Cluster B)",
-      Seq("Policy", "Runtime (min)", "Paper (min)"),
-      Seq(Seq("MaxResourceAllocation", f"${default.runtimeMin}%.1f", "66"),
-          Seq("RelM", f"${tuned.runtimeMin}%.1f", "40"))))
+    val headline = Tables.tpchHeadline()
+    emit(Tables.renderFig21(headline))
+    val (default, tuned) = headline
     assert(tuned.safe)
     val ratio = tuned.runtimeSec / default.runtimeSec
     assert(ratio < 0.75 && ratio > 0.3, s"ratio=$ratio (paper 0.61)")

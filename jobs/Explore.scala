@@ -3,6 +3,7 @@ package repro.jobs
 import repro.core.RelM
 import repro.opt._
 import repro.sim._
+import repro.tables.Tables
 
 /** Calibration probe (not a paper table): prints the simulator's view of
   * every app under key configurations so model constants can be sanity
@@ -44,17 +45,15 @@ object Explore {
     }
 
     println("\n=== Table 5 manual PageRank ===")
-    Seq((2, 0.6, 2), (1, 0.6, 2), (2, 0.4, 2), (2, 0.6, 5)).foreach { case (p, cap, nr) =>
-      val c = MemoryConf.of(hw, 1, p, cap, 0.0, nr)
-      println(fmt(sim.run(AppModel.pageRank, c)))
-    }
+    Tables.table5(sim).foreach(r => println(fmt(r.result)))
 
     println("\n=== RelM per app ===")
     for (app <- AppModel.clusterASuite) {
       val res = RelM.tune(app, sim)
       println(f"${app.name}%-10s profiles=${res.profileRuns.size} stats=${res.stats}")
-      res.candidates.foreach(a => println(f"   cand n=${a.n} p=${a.p} cache=${a.cacheCap}%4.2f " +
-        f"shuf=${a.shuffleCap}%4.2f NR=${a.nr} U=${a.utility}%5.3f iters=${a.iterations}"))
+      for (a <- res.candidates; c = RelM.toConf(hw, a))
+        println(f"   cand n=${a.n} p=${a.p} cache=${c.cacheCap}%4.2f " +
+          f"shuf=${c.shuffleCap}%4.2f NR=${a.nr} U=${a.utility}%5.3f iters=${a.iterations}")
       println("   pick  " + fmt(sim.run(app, res.recommended)))
     }
 
@@ -67,9 +66,8 @@ object Explore {
     }
 
     println("\n=== TPC-H on Cluster B ===")
-    val simB = new Simulator(Hardware.ClusterB)
-    println("default " + fmt(simB.run(AppModel.tpch, MemoryConf.default(Hardware.ClusterB))))
-    val resB = RelM.tune(AppModel.tpch, simB)
-    println("RelM    " + fmt(simB.run(AppModel.tpch, resB.recommended)))
+    val (default, tuned) = Tables.tpchHeadline()
+    println("default " + fmt(default))
+    println("RelM    " + fmt(tuned))
   }
 }

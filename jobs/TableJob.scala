@@ -1,0 +1,33 @@
+package repro.jobs
+
+import scala.collection.immutable.ListMap
+import repro.sim.{Hardware, Simulator}
+import repro.tables.Tables
+
+/** spark-submit entrypoint for the reproduced tables (see DESIGN.md): prints
+  * the table named by its one argument, exactly as the bench prints it. It is
+  * a driver-only program (the cluster substrate is the simulator), so it runs
+  * equally under `spark-submit --class repro.jobs.TableJob <jar> table8` or
+  * `sbt "runMain repro.jobs.TableJob table8"`.
+  */
+object TableJob {
+  private lazy val sim = new Simulator(Hardware.ClusterA)
+
+  private val tables: ListMap[String, () => String] = ListMap(
+    "table4" -> (() => Tables.renderTable4(Tables.table4(Hardware.ClusterA))),
+    "table5" -> (() => Tables.renderTable5(Tables.table5(sim))),
+    "table6" -> (() => Tables.renderTable6(Tables.table6(sim))),
+    "table7" -> (() => Tables.renderTable7(Tables.table7(Hardware.ClusterA))),
+    "table8" -> (() => Tables.renderTable8(Tables.table8(sim))),
+    "table9" -> (() => Tables.renderTable9(Tables.table9(sim))),
+    "table10" -> (() => Tables.renderTable10(Tables.table10(sim))),
+    "fig21" -> (() => Tables.renderFig21(Tables.tpchHeadline())),
+  )
+
+  def main(args: Array[String]): Unit = args match {
+    case Array(name) if tables.contains(name) => println(tables(name)())
+    case _ =>
+      System.err.println(s"usage: TableJob <${tables.keys.mkString("|")}>")
+      sys.exit(2)
+  }
+}

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.sim.MemoryConf
+
 /** Final arbitrated configuration for one candidate container size.
   *
   * @param utility  U = (M_i + m_c + p·(M_u + m_s)) / m_h  (Algorithm 1, l.13)
@@ -15,11 +17,7 @@ final case class Arbitrated(
     nr: Int,
     utility: Double,
     iterations: Int,
-) {
-  def cacheCap: Double = mcMb / mhMb
-  /** Shuffle Capacity is a heap fraction for the whole pool (p tasks). */
-  def shuffleCap: Double = p * msMb / mhMb
-}
+)
 
 /** Arbitrator (paper Algorithm 1): trims the Initializer's independent
   * optima until the combined long-term demand fits Old, by round-robining
@@ -36,16 +34,11 @@ object Arbitrator {
 
   private val maxIterations = 500
 
-  def oldMb(mh: Double, nr: Int): Double = mh * nr / (nr + 1.0)
-
-  def edenMb(mh: Double, nr: Int, sr: Int): Double =
-    mh / (nr + 1.0) * (sr - 2.0) / sr
-
   /** Returns None when even one task cannot run within heap (line 1-3), or
     * when no action can establish safety (degenerate stall).
     */
-  def arbitrate(st: Stats, n: Int, mhMb: Double, init: InitConf,
-                delta: Double = 0.1, sr: Int = 8): Option[Arbitrated] = {
+  def arbitrate(st: Stats, n: Int, mhMb: Double, init: InitConf): Option[Arbitrated] = {
+    import RelM.delta
     // Line 1: bare minimum — one task's memory must fit.
     if (st.miMb + st.muMb > (1.0 - delta) * mhMb) return None
 
@@ -63,7 +56,7 @@ object Arbitrator {
     var stalled = 0
 
     def demand: Double = st.miMb + p * st.muMb + mc
-    def mo: Double = oldMb(mhMb, nr)
+    def mo: Double = MemoryConf.oldMb(mhMb, nr)
     def unsafe: Boolean = demand > mo || demand > fitCapMb
 
     while (unsafe && iter < maxIterations && stalled < 3) {
@@ -79,9 +72,9 @@ object Arbitrator {
         case 2 => // III. grow Old by M_u (toward demand, within (1−δ)·m_h)
           val target = math.min(mo + st.muMb, demand)
           val candidates = ((nr + 1) to Initializer.maxNewRatio)
-            .filter(r => oldMb(mhMb, r) <= (1.0 - delta) * mhMb)
-          val fit = candidates.find(r => oldMb(mhMb, r) >= target)
-            .orElse(candidates.lastOption.filter(r => oldMb(mhMb, r) > mo))
+            .filter(r => MemoryConf.oldMb(mhMb, r) <= (1.0 - delta) * mhMb)
+          val fit = candidates.find(r => MemoryConf.oldMb(mhMb, r) >= target)
+            .orElse(candidates.lastOption.filter(r => MemoryConf.oldMb(mhMb, r) > mo))
           fit match {
             case Some(r) => nr = r; true
             case None    => false
@@ -94,7 +87,7 @@ object Arbitrator {
     if (unsafe) return None // no safe configuration at this size
 
     // Line 11: shuffle capped at half the per-task Eden share (Obs 7).
-    ms = math.min(ms, 0.5 * edenMb(mhMb, nr, sr) / p)
+    ms = math.min(ms, 0.5 * MemoryConf.edenMb(mhMb, nr, MemoryConf.defaultSurvivorRatio) / p)
 
     // Line 13: utility = productive fraction of heap.
     val u = (st.miMb + mc + p * (st.muMb + ms)) / mhMb

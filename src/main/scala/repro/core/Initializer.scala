@@ -28,20 +28,26 @@ object Initializer {
     else math.min(maxNewRatio, math.max(1, math.ceil(longTermMb / free).toInt))
   }
 
+  /** Eq 1: cache requirement m_c on heap `mhMb`, scaled by the observed hit
+    * ratio. Also the cache half of the guiding model Q (Eq 8).
+    */
+  def cacheMb(st: Stats, mhMb: Double): Double =
+    if (st.mcMb <= 0) 0.0
+    else mhMb * math.min(st.mcMb / (math.max(st.h, 1e-9) * st.mhMb), 1.0 - RelM.delta)
+
+  /** Eq 2: per-task shuffle requirement m_s, scaled by the spill fraction. */
+  def shuffleMb(st: Stats, mhMb: Double): Double =
+    if (st.msMb <= 0) 0.0
+    else math.min(st.msMb / math.max(1e-9, 1.0 - st.s / st.p), (1.0 - RelM.delta) * mhMb)
+
   /** Run Eqs 1–4 for a candidate (n, m_h) given the profiled statistics.
     *
     * @param maxP hard concurrency bound (cores / containers per node)
     */
-  def init(st: Stats, n: Int, mhMb: Double, maxP: Int, delta: Double = 0.1): InitConf = {
-    // Eq 1 — cache requirement scaled by the observed hit ratio.
-    val mc =
-      if (st.mcMb <= 0) 0.0
-      else mhMb * math.min(st.mcMb / (math.max(st.h, 1e-9) * st.mhMb), 1.0 - delta)
-
-    // Eq 2 — shuffle requirement scaled by the spill fraction.
-    val ms =
-      if (st.msMb <= 0) 0.0
-      else math.min(st.msMb / math.max(1e-9, 1.0 - st.s / st.p), (1.0 - delta) * mhMb)
+  def init(st: Stats, n: Int, mhMb: Double, maxP: Int): InitConf = {
+    import RelM.delta
+    val mc = cacheMb(st, mhMb)
+    val ms = shuffleMb(st, mhMb)
 
     // Eq 4 — concurrency bounded by each of CPU, disk, and memory. The
     // paper divides node-level utilization by P because its profiles always

@@ -18,22 +18,12 @@ object QModel {
     def toArray: Array[Double] = Array(q1, q2, q3)
   }
 
-  /** Modeled cache requirement m_c of Eq 1 for an arbitrary heap size. */
-  def modeledCacheMb(st: Stats, mhMb: Double, delta: Double = RelM.delta): Double =
-    if (st.mcMb <= 0) 0.0
-    else mhMb * math.min(st.mcMb / (math.max(st.h, 1e-9) * st.mhMb), 1.0 - delta)
-
-  /** Modeled per-task shuffle requirement m_s of Eq 2. */
-  def modeledShuffleMb(st: Stats, mhMb: Double, delta: Double = RelM.delta): Double =
-    if (st.msMb <= 0) 0.0
-    else math.min(st.msMb / math.max(1e-9, 1.0 - st.s / st.p), (1.0 - delta) * mhMb)
-
   def derive(st: Stats, c: MemoryConf): Q = {
     val mh   = c.heapMb
     val mcX  = c.cacheCap * mh            // configured cache allocation
     val msX  = c.shuffleCap * mh / c.taskConcurrency // configured per-task shuffle
-    val mcRq = modeledCacheMb(st, mh)
-    val msRq = modeledShuffleMb(st, mh)
+    val mcRq = Initializer.cacheMb(st, mh)  // Eq 1 requirement
+    val msRq = Initializer.shuffleMb(st, mh) // Eq 2 requirement
 
     val q1 = (st.miMb + math.min(mcX, mcRq) +
       c.taskConcurrency * (st.muMb + math.min(msX, msRq))) / mh

@@ -61,8 +61,8 @@ object RelM {
     def enumerate(s: Stats): Seq[Arbitrated] =
       hw.containerChoices.flatMap { n =>
         val mh = hw.heapMb(n)
-        val ic = Initializer.init(s, n, mh, hw.maxConcurrency(n), delta)
-        Arbitrator.arbitrate(s, n, mh, ic, delta)
+        val ic = Initializer.init(s, n, mh, hw.maxConcurrency(n))
+        Arbitrator.arbitrate(s, n, mh, ic)
       }
     val primary = enumerate(st)
     if (primary.nonEmpty) primary else enumerate(st.copy(mcMb = 0, h = 1.0))

@@ -17,21 +17,19 @@ final case class MemoryConf(
     cacheCap: Double,
     shuffleCap: Double,
     newRatio: Int,
-    survivorRatio: Int = 8,
+    survivorRatio: Int = MemoryConf.defaultSurvivorRatio,
 ) {
   require(containersPerNode >= 1, s"containersPerNode=$containersPerNode")
   require(taskConcurrency >= 1, s"taskConcurrency=$taskConcurrency")
   require(newRatio >= 1, s"newRatio=$newRatio")
   require(cacheCap >= 0 && shuffleCap >= 0, s"caps=($cacheCap,$shuffleCap)")
 
-  /** Old-generation capacity: m_o = m_h * NR/(NR+1)  (paper Eq 3). */
-  def oldMb: Double = heapMb * newRatio / (newRatio + 1)
+  def oldMb: Double = MemoryConf.oldMb(heapMb, newRatio)
 
   /** Young-generation capacity. */
   def youngMb: Double = heapMb / (newRatio + 1)
 
-  /** Eden capacity: m_e = m_h * 1/(NR+1) * (SR-2)/SR  (paper Eq 3). */
-  def edenMb: Double = youngMb * (survivorRatio - 2) / survivorRatio
+  def edenMb: Double = MemoryConf.edenMb(heapMb, newRatio, survivorRatio)
 
   /** One survivor space (two exist; one is always empty). */
   def survivorMb: Double = youngMb / survivorRatio
@@ -45,9 +43,19 @@ final case class MemoryConf(
 }
 
 object MemoryConf {
+  /** ParallelGC's SurvivorRatio; the paper keeps the default throughout. */
+  val defaultSurvivorRatio: Int = 8
+
+  /** Old-generation capacity: m_o = m_h * NR/(NR+1)  (paper Eq 3). */
+  def oldMb(heapMb: Double, newRatio: Int): Double = heapMb * newRatio / (newRatio + 1)
+
+  /** Eden capacity: m_e = m_h * 1/(NR+1) * (SR-2)/SR  (paper Eq 3). */
+  def edenMb(heapMb: Double, newRatio: Int, survivorRatio: Int): Double =
+    heapMb / (newRatio + 1) * (survivorRatio - 2) / survivorRatio
+
   /** Build a configuration for `n` containers per node on `hw`. */
   def of(hw: Hardware, n: Int, p: Int, cacheCap: Double, shuffleCap: Double,
-         newRatio: Int, survivorRatio: Int = 8): MemoryConf =
+         newRatio: Int, survivorRatio: Int = defaultSurvivorRatio): MemoryConf =
     MemoryConf(n, hw.heapMb(n), p, cacheCap, shuffleCap, newRatio, survivorRatio)
 
   /** Amazon EMR MaxResourceAllocation + framework defaults (paper Table 4):

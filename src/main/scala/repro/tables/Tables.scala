@@ -4,9 +4,10 @@ import repro.core.{QModel, RelM, StatsGenerator}
 import repro.opt._
 import repro.sim._
 
-/** Row builders for every table reproduced from the paper's evaluation.
-  * Benches assert on these structures and print them; jobs/ entrypoints
-  * print them from spark-submit. Everything is deterministic in the seeds.
+/** Row builders and renderers for every table reproduced from the paper's
+  * evaluation. Benches assert on the rows and print them with the table's
+  * renderer; the jobs/ entrypoint prints them from spark-submit. Everything
+  * but Table 10's timings is deterministic in the seeds.
   */
 object Tables {
 
@@ -22,11 +23,11 @@ object Tables {
       iterations: Int,
   )
 
-  def fmtConf(c: MemoryConf): String =
+  private def fmtConf(c: MemoryConf): String =
     f"n=${c.containersPerNode} p=${c.taskConcurrency} cache=${c.cacheCap}%.2f " +
       f"shuffle=${c.shuffleCap}%.2f NR=${c.newRatio}"
 
-  def render(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
+  private def render(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all = header +: rows
     val widths = header.indices.map(i => all.map(_(i).length).max)
     def line(r: Seq[String]) =
@@ -50,6 +51,10 @@ object Tables {
     )
   }
 
+  def renderTable4(rows: Seq[(String, String)]): String =
+    render("Table 4 — MaxResourceAllocation + framework defaults (Cluster A)",
+      Seq("Parameter", "Value"), rows.map { case (k, v) => Seq(k, v) })
+
   // ------------------------------------------------ Table 5 (manual PageRank)
 
   final case class ManualRow(containers: Int, p: Int, cacheCap: Double, nr: Int,
@@ -64,6 +69,14 @@ object Tables {
     }
   }
 
+  def renderTable5(rows: Seq[ManualRow]): String =
+    render("Table 5 — Manual tuning of PageRank (paper: 66*/59/49/53 min)",
+      Seq("Containers", "P", "Cache", "NR", "Runtime(min)", "CacheHit", "GC", "Status"),
+      rows.map(r => Seq(r.containers.toString, r.p.toString, f"${r.cacheCap}%.1f",
+        r.nr.toString, f"${r.result.runtimeMin}%.1f", f"${r.result.cacheHitRatio}%.2f",
+        f"${r.result.gcOverhead}%.2f",
+        if (r.result.aborted) "aborted" else s"${r.result.failedContainers} failures")))
+
   // --------------------------------------------------- Table 6 (stats vector)
 
   /** Statistics derived from the PageRank default-configuration profile. */
@@ -72,10 +85,35 @@ object Tables {
     StatsGenerator.fromProfile(run.profile)
   }
 
+  /** The measured vector next to the paper's readings. */
+  def renderTable6(st: repro.core.Stats): String =
+    render("Table 6 — PageRank profile statistics",
+      Seq("Notation", "Paper", "Measured"),
+      Seq(
+        Seq("N", "1", st.n.toString),
+        Seq("M_h", "4404MB", f"${st.mhMb}%.0fMB"),
+        Seq("CPU_avg", "35%", f"${st.cpuAvgPct}%.0f%%"),
+        Seq("Disk_avg", "2%", f"${st.diskAvgPct}%.0f%%"),
+        Seq("M_i", "115MB", f"${st.miMb}%.0fMB"),
+        Seq("M_c", "2300MB", f"${st.mcMb}%.0fMB"),
+        Seq("M_s", "0MB", f"${st.msMb}%.0fMB"),
+        Seq("M_u", "770MB", f"${st.muMb}%.0fMB"),
+        Seq("P", "2", st.p.toString),
+        Seq("H", "0.3", f"${st.h}%.2f"),
+        Seq("S", "0", f"${st.s}%.2f"),
+      ))
+
   // --------------------------------------------------- Table 7 (LHS samples)
 
   def table7(hw: Hardware, app: AppModel = AppModel.svm, seed: Long = 42L): Vector[MemoryConf] =
     new ConfigSpace(hw, app).lhs(4, seed)
+
+  def renderTable7(samples: Seq[MemoryConf]): String =
+    render(
+      "Table 7 — LHS bootstrap samples (paper draw: n=1..4, p∈{4,1,2,2}, cap∈{.6,.4,.2,.8}, NR∈{7,3,5,1})",
+      Seq("Containers", "TaskConcurrency", "Cache/Shuffle Capacity", "NewRatio"),
+      samples.map(c => Seq(c.containersPerNode.toString, c.taskConcurrency.toString,
+        f"${math.max(c.cacheCap, c.shuffleCap)}%.2f", c.newRatio.toString)))
 
   // ------------------------------------------- Table 8 (policy recommendations)
 
@@ -140,6 +178,20 @@ object Tables {
     Table8Result(rows.result(), defaults, exh)
   }
 
+  /** Every policy's row, then each app's default runtime and exhaustive
+    * 5th-percentile bar (the Fig 17 reference points).
+    */
+  def renderTable8(t8: Table8Result): String = {
+    val table = render("Table 8 — Recommendations (runtime minutes; iterations = stress tests paid)",
+      Seq("App", "Policy", "Conf", "Runtime", "Fail", "Iters"),
+      t8.rows.map(r => Seq(r.app, r.policy, fmtConf(r.conf), f"${r.runtimeMin}%.1f",
+        r.failedContainers.toString, r.iterations.toString)))
+    val bars = t8.rows.map(_.app).distinct.map(a =>
+      f"$a%-10s default=${t8.defaultRuns(a).runtimeMin}%.1fmin " +
+        f"exhaustive-5%%ile=${t8.top5PctileMin(a)}%.1fmin")
+    (table +: bars).mkString("\n")
+  }
+
   // ----------------------------------------------------- Table 9 (BO run log)
 
   /** Log of one BO run for SVM: the 4 LHS bootstrap samples then the
@@ -154,6 +206,13 @@ object Tables {
       (math.max(0, i - 3), o) // paper labels the 4 LHS samples "0"
     }
   }
+
+  def renderTable9(log: Seq[(Int, Observation)]): String =
+    render("Table 9 — BO run log, SVM (paper: 4 LHS + 6 adaptive, 13→6.5 min)",
+      Seq("Sample#", "Conf", "Runtime (min)"),
+      log.map { case (i, o) =>
+        Seq(if (i == 0) "0 (LHS)" else i.toString, fmtConf(o.conf),
+          f"${o.result.runtimeMin}%.1f") })
 
   // ------------------------------------------- Table 10 (algorithm overheads)
 
@@ -242,6 +301,18 @@ object Tables {
     )
   }
 
+  /** One column per policy, one line per overhead component. */
+  def renderTable10(rows: Seq[OverheadRow]): String =
+    render("Table 10 — Algorithm overheads per iteration",
+      "Component" +: rows.map(_.policy),
+      Seq(
+        "Statistics Collection (ms)" +: rows.map(r => f"${r.statsCollectMs}%.3f"),
+        "Model Fitting (ms)" +: rows.map(r => f"${r.fitMs}%.3f"),
+        "Model Probing (ms)" +: rows.map(r => f"${r.probeMs}%.3f"),
+        "Model Size (bytes)" +: rows.map(r =>
+          if (r.modelSizeBytes == 0) "-" else r.modelSizeBytes.toString),
+      ))
+
   // ------------------------------------------------- TPC-H headline (Fig 21)
 
   /** Default-vs-RelM TPC-H runtimes on Cluster B (paper: 66 min → 40 min). */
@@ -250,5 +321,15 @@ object Tables {
     val default = sim.run(AppModel.tpch, MemoryConf.default(Hardware.ClusterB), seed)
     val relm = RelM.tune(AppModel.tpch, sim, seed)
     (default, sim.run(AppModel.tpch, relm.recommended, seed))
+  }
+
+  /** Both runtimes next to the paper's, then the configuration RelM picked. */
+  def renderFig21(headline: (RunResult, RunResult)): String = {
+    val (default, tuned) = headline
+    render("Fig 21 — TPC-H (Cluster B)",
+      Seq("Policy", "Runtime (min)", "Paper (min)"),
+      Seq(Seq("MaxResourceAllocation", f"${default.runtimeMin}%.1f", "66"),
+          Seq("RelM", f"${tuned.runtimeMin}%.1f", "40"))) +
+      s"\nRelM conf=${tuned.conf}"
   }
 }

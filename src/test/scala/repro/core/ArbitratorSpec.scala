@@ -27,7 +27,7 @@ class ArbitratorSpec extends AnyFunSuite {
   test("Fig 13 endpoint satisfies the safety condition of line 4") {
     val out = Arbitrator.arbitrate(pageRankStats, 1, 4404, paperInit).get
     val demand = pageRankStats.miMb + out.p * pageRankStats.muMb + out.mcMb
-    assert(demand <= Arbitrator.oldMb(4404, out.nr))
+    assert(demand <= MemoryConf.oldMb(4404, out.nr))
   }
 
   test("line 1: insufficient memory for a single task is flagged") {
@@ -38,7 +38,7 @@ class ArbitratorSpec extends AnyFunSuite {
   test("line 11: shuffle memory is capped at half the per-task Eden share (Obs 7)") {
     val st = pageRankStats.copy(mcMb = 0, msMb = 2000, muMb = 200)
     val out = Arbitrator.arbitrate(st, 1, 4404, InitConf(0, 2000, 2, 1)).get
-    assert(out.msMb <= 0.5 * Arbitrator.edenMb(4404, out.nr, 8) / out.p + 1e-9)
+    assert(out.msMb <= 0.5 * MemoryConf.edenMb(4404, out.nr, 8) / out.p + 1e-9)
   }
 
   test("line 13: utility is the productive fraction of heap") {
@@ -59,8 +59,8 @@ class ArbitratorSpec extends AnyFunSuite {
   }
 
   // Safety of every arbitrated plan, across the whole suite and every
-  // container size: long-term demand within Old AND beside the reserved
-  // region (registration loop → one test per app × n).
+  // container size (registration loop → one test per app × n). The same
+  // contract is checked on random hardware in RelMPropertySpec.
   {
     val hw = Hardware.ClusterA
     val sim = new Simulator(hw)
@@ -70,13 +70,9 @@ class ArbitratorSpec extends AnyFunSuite {
         test(s"arbitrated plan for ${app.name} at $n containers/node is safe (or rejected)") {
           val mh = hw.heapMb(n)
           val ic = Initializer.init(st, n, mh, hw.maxConcurrency(n))
-          Arbitrator.arbitrate(st, n, mh, ic) match {
-            case None => succeed
-            case Some(a) =>
-              val demand = st.miMb + a.p * st.muMb + a.mcMb
-              assert(demand <= Arbitrator.oldMb(mh, a.nr) + 1e-6)
-              assert(demand <= mh - repro.sim.GcModel.Constants.jvmReservedMb + 1e-6)
-              assert(a.p >= 1 && a.mcMb >= 0 && a.nr >= 1 && a.nr <= 9)
+          for (a <- Arbitrator.arbitrate(st, n, mh, ic)) {
+            val broken = SafetyContract.violations(st, hw, a)
+            assert(broken.isEmpty, broken.mkString("; "))
           }
         }
       }

@@ -62,11 +62,20 @@ class QModelSpec extends AnyFunSuite {
   }
 
   test("modeled requirements match Eqs 1-2 used by the Initializer") {
-    val ic = Initializer.init(pageRankStats, 1, 4404, 8)
-    assert(math.abs(QModel.modeledCacheMb(pageRankStats, 4404) - ic.mcMb) < 1e-6)
-    val st = sortStats
-    val ic2 = Initializer.init(st, 1, 4404, 8)
-    assert(math.abs(QModel.modeledShuffleMb(st, 4404) - ic2.msMb) < 1e-6)
+    for (n <- hw.containerChoices) {
+      // Cache-free: q2's denominator is the whole Old pool.
+      val c = conf(n, 1, 0.0, 0.0, 2)
+      val ic = Initializer.init(pageRankStats, n, c.heapMb, hw.maxConcurrency(n))
+      val q2Numerator = QModel.derive(pageRankStats, c).q2 * math.max(1.0, c.oldMb)
+      assert(math.abs(q2Numerator - (pageRankStats.miMb + ic.mcMb)) < 1e-6, s"n=$n")
+    }
+    // Shuffle pool above the Eq 2 requirement, so q3 uses the requirement.
+    val c = conf(1, 2, 0.0, 0.9, 2)
+    val ic = Initializer.init(sortStats, 1, c.heapMb, hw.maxConcurrency(1))
+    assert(c.shuffleCap * c.heapMb / c.taskConcurrency > ic.msMb)
+    val perTaskShuffle =
+      QModel.derive(sortStats, c).q3 * math.max(1.0, 0.5 * c.edenMb) / c.taskConcurrency
+    assert(math.abs(perTaskShuffle - ic.msMb) < 1e-6)
   }
 
   test("metrics are finite on degenerate configurations") {
