@@ -15,7 +15,10 @@ import repro.sim.MemoryConf
 object QModel {
 
   final case class Q(q1: Double, q2: Double, q3: Double) {
-    def toArray: Array[Double] = Array(q1, q2, q3)
+    /** q1..q3 clipped to their informative range [0, 3] and scaled to
+      * [0, 1]: the form GBO's features and DDPG's state use.
+      */
+    def scaled: Array[Double] = Array(q1, q2, q3).map(v => math.min(3.0, math.max(0.0, v)) / 3.0)
   }
 
   def derive(st: Stats, c: MemoryConf): Q = {

@@ -10,29 +10,23 @@ import repro.sim.MemoryConf
   * probe the Expected-Improvement (Eq 7) maximizer over the discretized
   * candidate grid. CherryPick stopping rule: halt once the best expected
   * improvement drops below 10% of the incumbent and at least 6 adaptive
-  * samples were taken.
+  * samples were taken; at most 26 adaptive samples are taken.
   *
   * GBO: identical loop, but the surrogate's inputs are augmented with the
   * white-box metrics q1..q3 of model Q (Eq 8) computed from a profiled
   * statistics vector — GP(x, q^x, y) instead of GP(x, y) (Eq 9).
   */
-final class BayesOpt(space: ConfigSpace,
-                     guide: Option[Stats] = None,
-                     initSamples: Int = 4,
-                     minAdaptive: Int = 6,
-                     eiThreshold: Double = 0.10,
-                     maxIterations: Int = 26,
-                     seed: Long = 42L) {
+final class BayesOpt(space: ConfigSpace, guide: Option[Stats] = None, seed: Long = 42L) {
 
-  val policyName: String = if (guide.isDefined) "GBO" else "BO"
+  private val initSamples = 4
+  private val minAdaptive = 6
+  private val maxAdaptive = 26
+  private val eiThreshold = 0.10
 
   /** Feature vector: knob encoding, plus q1..q3 when guided. */
   def features(c: MemoryConf): Array[Double] = guide match {
     case None => space.encode(c)
-    case Some(st) =>
-      val q = QModel.derive(st, c)
-      // Clip the guide metrics: their informative range is [0, ~3].
-      space.encode(c) ++ q.toArray.map(v => math.min(3.0, math.max(0.0, v)) / 3.0)
+    case Some(st) => space.encode(c) ++ QModel.derive(st, c).scaled
   }
 
   /** Expected Improvement for minimization (Eq 7, with τ the incumbent). */
@@ -51,34 +45,45 @@ final class BayesOpt(space: ConfigSpace,
     if (x >= 0) y else -y
   }
 
+  /** The surrogate of a history: a GP from features to objective (Eq 6). */
+  def fit(hist: Seq[Observation]): GaussianProcess = {
+    val gp = new GaussianProcess()
+    gp.fit(hist.map(o => features(o.conf)).toArray, hist.map(_.objective).toArray)
+    gp
+  }
+
+  /** The next probe: the EI argmax (first maximum in grid order) over the
+    * grid points `hist` has not probed, with its EI; None once every point
+    * is probed.
+    */
+  def propose(gp: GaussianProcess, hist: Seq[Observation]): Option[(MemoryConf, Double)] = {
+    val tau = incumbent(hist)
+    val seen = hist.map(_.conf).toSet
+    val cands = space.all.filterNot(seen.contains)
+    if (cands.isEmpty) None
+    else Some(cands.iterator
+      .map { c => val (m, s) = gp.predict(features(c)); (c, expectedImprovement(m, s, tau)) }
+      .maxBy(_._2))
+  }
+
   def tune(env: TuningEnv): TuningTrace = {
-    val init = space.lhs(initSamples, seed)
-    init.foreach(env.evaluate)
+    space.lhs(initSamples, seed).foreach(env.evaluate)
 
     var adaptive = 0
     var continue = true
-    while (continue && adaptive < maxIterations) {
+    while (continue && adaptive < maxAdaptive) {
       val hist = env.history
-      val x = hist.map(o => features(o.conf)).toArray
-      val y = hist.map(_.objective).toArray
-      val gp = new GaussianProcess()
-      gp.fit(x, y)
-      val tau = y.min
-
-      val seen = hist.map(_.conf).toSet
-      val cands = space.all.filterNot(seen.contains)
-      if (cands.isEmpty) continue = false
-      else {
-        val (bestCand, bestEi) = cands.iterator
-          .map { c => val (m, s) = gp.predict(features(c)); (c, expectedImprovement(m, s, tau)) }
-          .maxBy(_._2)
-        env.evaluate(bestCand)
-        adaptive += 1
-        if (adaptive >= minAdaptive && bestEi < eiThreshold * math.abs(tau)) continue = false
+      propose(fit(hist), hist) match {
+        case None => continue = false
+        case Some((conf, ei)) =>
+          env.evaluate(conf)
+          adaptive += 1
+          if (adaptive >= minAdaptive && ei < eiThreshold * math.abs(incumbent(hist))) continue = false
       }
     }
-
-    val best = env.bestObservation
-    TuningTrace(policyName, best.conf, best, env.history, env.iterations)
+    env.trace
   }
+
+  /** τ of Eq 7: the best objective observed so far. */
+  private def incumbent(hist: Seq[Observation]): Double = hist.map(_.objective).min
 }

@@ -1,6 +1,7 @@
 package repro.opt
 
 import repro.core.{QModel, StatsGenerator}
+import repro.sim.MemoryConf
 import scala.collection.mutable.ArrayBuffer
 
 /** Deep Deterministic Policy Gradient tuner (paper Sec 5.3, Fig 15).
@@ -14,12 +15,11 @@ import scala.collection.mutable.ArrayBuffer
   * Actor/critic are tanh MLPs with target networks, replay buffer, and
   * Adam — a faithful, scaled-down CDBTune parameterization.
   */
-final class Ddpg(space: ConfigSpace,
-                 maxNewSamples: Int = 10,
-                 gamma: Double = 0.9,
-                 tau: Double = 0.05,
-                 batch: Int = 16,
-                 seed: Long = 7L) {
+final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
+
+  private val gamma = 0.9 // discount of the critic target
+  private val tau = 0.05  // soft target-network update rate
+  private val batch = 16  // replay minibatch size
 
   private val rnd = new scala.util.Random(seed)
   val stateDim = 11
@@ -37,14 +37,12 @@ final class Ddpg(space: ConfigSpace,
   /** Observation → normalized state vector. */
   def state(o: Observation): Array[Double] = {
     val st = StatsGenerator.fromProfile(o.result.profile)
-    val q = QModel.derive(st, o.conf)
-    def cl(x: Double) = math.min(3.0, math.max(0.0, x)) / 3.0
     Array(
       st.cpuAvgPct / 100.0, st.diskAvgPct / 100.0,
       st.miMb / st.mhMb, st.mcMb / st.mhMb, st.msMb / st.mhMb,
       math.min(1.0, st.muMb / st.mhMb),
-      st.h, st.s, cl(q.q1), cl(q.q2), cl(q.q3),
-    )
+      st.h, st.s,
+    ) ++ QModel.derive(st, o.conf).scaled
   }
 
   /** CDBTune reward: positive when beating the initial performance, scaled
@@ -89,9 +87,9 @@ final class Ddpg(space: ConfigSpace,
     criticT.softUpdateFrom(critic, tau)
   }
 
-  def tune(env: TuningEnv, startConf: Option[repro.sim.MemoryConf] = None): TuningTrace = {
-    val start = startConf.getOrElse(repro.sim.MemoryConf.default(space.hw))
-    var prev = env.evaluate(start)
+  /** Starts from the framework default configuration (paper Table 4). */
+  def tune(env: TuningEnv): TuningTrace = {
+    var prev = env.evaluate(MemoryConf.default(space.hw))
     val r0 = prev.objective
     var s = state(prev)
     var noise = 0.6
@@ -110,8 +108,7 @@ final class Ddpg(space: ConfigSpace,
       noise = math.max(0.1, noise * 0.92)
       guard += 1
     }
-    val best = env.bestObservation
-    TuningTrace("DDPG", best.conf, best, env.history, env.iterations)
+    env.trace
   }
 
   /** Stored model size in bytes (Table 10's last row): actor+critic

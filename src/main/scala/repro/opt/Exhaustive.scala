@@ -26,7 +26,6 @@ object Exhaustive {
 
   def tune(space: ConfigSpace, env: TuningEnv): TuningTrace = {
     grid(space).foreach(env.evaluate)
-    val best = env.bestObservation
-    TuningTrace("Exhaustive", best.conf, best, env.history, env.iterations)
+    env.trace
   }
 }

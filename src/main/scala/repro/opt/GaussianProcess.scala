@@ -8,9 +8,11 @@ import repro.linalg.LinAlg
   * constant observation noise. Targets are standardized internally so
   * runtime magnitudes don't leak into kernel hyperparameters.
   */
-final class GaussianProcess(lengthScale: Double = 0.35,
-                            signalVar: Double = 1.0,
-                            noiseVar: Double = 1e-3) {
+final class GaussianProcess {
+
+  private val lengthScale = 0.35
+  private val signalVar = 1.0
+  private val noiseVar = 1e-3
 
   private var xs: Array[Array[Double]] = Array.empty
   private var chol: Array[Array[Double]] = Array.empty

@@ -49,9 +49,7 @@ object FailureModel {
   }
 
   import Constants._
-
-  private def clamp(x: Double, lo: Double = 0.0, hi: Double = 1.0): Double =
-    math.min(hi, math.max(lo, x))
+  import GcModel.clamp
 
   /** Failure assessment of one configuration. `pFail` is the per-container
     * probability of dying at least once during the run.

@@ -53,7 +53,9 @@ object GcModel {
 
   import Constants._
 
-  private def clamp(x: Double, lo: Double, hi: Double): Double = math.min(hi, math.max(lo, x))
+  /** `x` limited to [lo, hi]; the default [0, 1] bounds probabilities. */
+  private[sim] def clamp(x: Double, lo: Double = 0.0, hi: Double = 1.0): Double =
+    math.min(hi, math.max(lo, x))
 
   /** Memory demands of (app, conf) on one container — the state everything
     * else (GC overhead, failures, runtime, profile) is derived from.
@@ -100,7 +102,7 @@ object GcModel {
     val chunk            = if (p == 0) 0.0 else shuffleUsed / p
     val spillFraction =
       if (app.shuffleNeedMb <= 0) 0.0
-      else clamp(1.0 - chunk / app.shuffleNeedMb, 0.0, 1.0)
+      else clamp(1.0 - chunk / app.shuffleNeedMb)
 
     val cacheReq  = if (app.usesCache) app.cacheMbTotal / containers else 0.0
     val cacheUsed = math.min(cacheReq, math.max(0.0, unified - shuffleUsed))

@@ -36,7 +36,19 @@ class BoSpec extends AnyFunSuite {
     val env = new TuningEnv(AppModel.wordCount, sim)
     val tr = bo(AppModel.wordCount).tune(env)
     assert(tr.iterations >= 10) // 4 + ≥6 (CherryPick stopping rule)
-    assert(tr.iterations <= 44)
+    assert(tr.iterations <= 30) // 4 + at most 26 adaptive samples
+  }
+
+  test("every adaptive probe of Table 9's run is the EI argmax of the history before it") {
+    val space = new ConfigSpace(hw, AppModel.svm)
+    val b = bo(AppModel.svm)
+    val hist = b.tune(new TuningEnv(AppModel.svm, sim)).history
+    val nInit = space.lhs(4, 42).distinct.size
+    assert(hist.size > nInit)
+    for (k <- nInit until hist.size) {
+      val prefix = hist.take(k)
+      assert(b.propose(b.fit(prefix), prefix).map(_._1).contains(hist(k).conf), s"step $k")
+    }
   }
 
   test("BO finds a configuration close to the exhaustive optimum") {

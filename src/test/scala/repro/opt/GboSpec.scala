@@ -45,11 +45,8 @@ class GboSpec extends AnyFunSuite {
       val valObs = Exhaustive.grid(space).zipWithIndex.filter(_._2 % 10 == 0).map(_._1)
         .map(valEnv.evaluate).filterNot(_.result.aborted)
 
-      def r2Of(b: BayesOpt): Double = {
-        val gp = new GaussianProcess()
-        gp.fit(hist.map(o => b.features(o.conf)).toArray, hist.map(_.objective).toArray)
-        gp.r2(valObs.map(o => b.features(o.conf)).toArray, valObs.map(_.objective).toArray)
-      }
+      def r2Of(b: BayesOpt): Double =
+        b.fit(hist).r2(valObs.map(o => b.features(o.conf)).toArray, valObs.map(_.objective).toArray)
       boR2 += r2Of(bo); gboR2 += r2Of(gbo)
     }
     assert(gboR2 > boR2, s"gbo=$gboR2 bo=$boR2")
