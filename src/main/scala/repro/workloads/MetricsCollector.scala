@@ -1,5 +1,6 @@
 package repro.workloads
 
+import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 import java.util.concurrent.atomic.{AtomicLong, LongAdder}
@@ -52,21 +53,17 @@ final class MetricsCollector extends SparkListener {
 }
 
 object MetricsCollector {
-  /** Run `body` with a collector attached and return (result, footprint). */
+  /** Run `body` with a collector attached and return (result, footprint)
+    * once the listener bus has delivered every task of `body`'s jobs.
+    */
   def profile[T](spark: SparkSession)(body: => T): (T, WorkloadFootprint) = {
     val mc = new MetricsCollector
     spark.sparkContext.addSparkListener(mc)
     try {
       val r = body
-      // The listener bus is async and private; poll until the task counter
-      // stabilizes so queued task-end events are drained.
-      var last = -1L
-      var spins = 0
-      while (mc.footprint.tasks != last && spins < 50) {
-        last = mc.footprint.tasks
-        Thread.sleep(100)
-        spins += 1
-      }
+      // The DAGScheduler posts every TaskEnd before it completes the job, so
+      // once `body` returns, draining the bus delivers all of its tasks.
+      ListenerBusDrain(spark.sparkContext)
       (r, mc.footprint)
     } finally spark.sparkContext.removeSparkListener(mc)
   }

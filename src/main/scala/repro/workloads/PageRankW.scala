@@ -32,17 +32,21 @@ object PageRankW {
   }
 
   /** Run `iters` iterations from uniform ranks over the edge set's nodes.
-    * The edge DataFrame is cached across iterations, mirroring the
-    * benchmark's cached coalesced edge partitions (Sec 3.5).
+    * The initial ranks and each iteration's result are local-checkpointed
+    * (computed eagerly), so every iteration reads the cached edges,
+    * mirroring the benchmark's cached coalesced edge partitions (Sec 3.5),
+    * and `step` always sees `ranks` as a single leaf: the plan does not grow
+    * with `iters`, and every iteration runs the same plan shape.
+    * Returns the last checkpoint; nothing is left cached.
     */
   def run(edges: DataFrame, iters: Int): DataFrame = {
     val cached = edges.cache()
     try {
       val nodes = cached.select(col("src") as "node")
         .union(cached.select(col("dst") as "node")).distinct()
-      var ranks = nodes.select(col("node"), lit(1.0) as "rank")
-      for (_ <- 1 to iters) ranks = step(cached, ranks)
-      ranks.cache()
+      var ranks = nodes.select(col("node"), lit(1.0) as "rank").localCheckpoint()
+      for (_ <- 1 to iters) ranks = step(cached, ranks).localCheckpoint()
+      ranks
     } finally { cached.unpersist(); () }
   }
 

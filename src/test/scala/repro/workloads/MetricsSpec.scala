@@ -1,5 +1,6 @@
 package repro.workloads
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
 import repro.{SparkSpec, SynthData}
 
 /** The SparkListener profiling substrate (local analogue of Thoth/PAT):
@@ -37,5 +38,16 @@ class MetricsSpec extends SparkSpec {
     val lines = SynthData.textLines(spark, 20000, 8, 500)
     val (_, fp) = MetricsCollector.profile(spark)(WordCountW.wordCounts(lines).count())
     assert(fp.gcOverhead >= 0.0 && fp.gcOverhead <= 1.0)
+  }
+
+  test("profile waits for every task event, even behind a slow listener") {
+    val slow = new SparkListener {
+      override def onTaskEnd(te: SparkListenerTaskEnd): Unit = Thread.sleep(300)
+    }
+    spark.sparkContext.addSparkListener(slow)
+    try {
+      val (_, fp) = MetricsCollector.profile(spark)(spark.sparkContext.parallelize(1 to 100, 4).count())
+      assert(fp.tasks == 4)
+    } finally spark.sparkContext.removeSparkListener(slow)
   }
 }

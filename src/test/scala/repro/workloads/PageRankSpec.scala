@@ -1,7 +1,9 @@
 package repro.workloads
 
 import repro.{Oracle, SparkSpec, SynthData}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 class PageRankSpec extends SparkSpec {
 
@@ -48,5 +50,28 @@ class PageRankSpec extends SparkSpec {
     val med = ranks.agg(expr("percentile_approx(rank, 0.5)")).collect()(0).getDouble(0)
     assert(top > 5 * med)
     ranks.unpersist(); ()
+  }
+
+  test("run leaves nothing cached") {
+    val ranks = PageRankW.run(edges, iters = 2)
+    assert(ranks.storageLevel == StorageLevel.NONE) // no CacheManager entry for `ranks`
+  }
+
+  test("run's plan has as many leaves at 6 iterations as at 2") {
+    def leaves(iters: Int) = PageRankW.run(edges, iters).queryExecution.logical.collectLeaves().size
+    assert(leaves(6) == leaves(2))
+  }
+
+  test("run's checkpointed ranks equal un-checkpointed steps") {
+    val nodes = edges.select(col("src") as "node")
+      .union(edges.select(col("dst") as "node")).distinct()
+    var stepped = nodes.select(col("node"), lit(1.0) as "rank")
+    for (_ <- 1 to 3) stepped = PageRankW.step(edges, stepped)
+    def byNode(df: DataFrame) =
+      df.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    val expected = byNode(stepped)
+    val got = byNode(PageRankW.run(edges, iters = 3))
+    assert(got.keySet == expected.keySet)
+    for ((node, rank) <- expected) assert(math.abs(got(node) - rank) < 1e-9, s"node $node")
   }
 }
