@@ -5,15 +5,15 @@ import repro.sim.{Hardware, Simulator}
 import repro.tables.Tables
 
 /** spark-submit entrypoint for the reproduced tables (see DESIGN.md): prints
-  * the table named by its one argument, exactly as the bench prints it. It is
-  * a driver-only program (the cluster substrate is the simulator), so it runs
-  * equally under `spark-submit --class repro.jobs.TableJob <jar> table8` or
+  * the table named by its one argument. It is a driver-only program (the
+  * cluster substrate is the simulator), so it runs equally under
+  * `spark-submit --class repro.jobs.TableJob <jar> table8` or
   * `sbt "runMain repro.jobs.TableJob table8"`.
   */
 object TableJob {
   private lazy val sim = new Simulator(Hardware.ClusterA)
 
-  private val tables: ListMap[String, () => String] = ListMap(
+  private[repro] val tables: ListMap[String, () => String] = ListMap(
     "table4" -> (() => Tables.renderTable4(Tables.table4(Hardware.ClusterA))),
     "table5" -> (() => Tables.renderTable5(Tables.table5(sim))),
     "table6" -> (() => Tables.renderTable6(Tables.table6(sim))),

@@ -36,17 +36,14 @@ object KMeansW {
     * iterations exactly like the benchmark caches its training set.
     */
   def run(spark: SparkSession, points: DataFrame, k: Int, iters: Int,
-          seed: Long = 11): (Seq[Center], Double) = {
-    val cached = points.cache()
-    try {
-      val init = cached.orderBy(abs(hash(col("id"), lit(seed)))).limit(k).collect()
-        .zipWithIndex
-        .map { case (r, i) =>
-          Center(i, r.getAs[Double]("x0"), r.getAs[Double]("x1"))
-        }.toSeq
-      val finalCenters = (1 to iters).foldLeft(init)((cs, _) => step(cached, cs))
-      (finalCenters, inertia(cached, finalCenters))
-    } finally { cached.unpersist(); () }
+          seed: Long = 11): (Seq[Center], Double) = withCached(points) { cached =>
+    val init = cached.orderBy(abs(hash(col("id"), lit(seed)))).limit(k).collect()
+      .zipWithIndex
+      .map { case (r, i) =>
+        Center(i, r.getAs[Double]("x0"), r.getAs[Double]("x1"))
+      }.toSeq
+    val finalCenters = (1 to iters).foldLeft(init)((cs, _) => step(cached, cs))
+    (finalCenters, inertia(cached, finalCenters))
   }
 
   /** Sum of squared distances to the assigned center. */

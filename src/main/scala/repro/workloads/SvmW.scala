@@ -25,15 +25,13 @@ object SvmW {
   /** Train for `epochs` full-batch steps; data is cached like the benchmark
     * caches its 100M-example training set.
     */
-  def train(data: DataFrame, epochs: Int, lr: Double = 0.5): Array[Double] = {
-    val cached = data.cache()
-    try {
+  def train(data: DataFrame, epochs: Int, lr: Double = 0.5): Array[Double] =
+    withCached(data) { cached =>
       var w = Array(0.0, 0.0, 0.0)
       for (_ <- 1 to epochs)
         w = w.zip(gradient(cached, w)).map { case (wi, g) => wi - lr * g }
       w
-    } finally { cached.unpersist(); () }
-  }
+    }
 
   def accuracy(data: DataFrame, w: Array[Double]): Double = {
     val correct = when(margin(w) > 0.0, 1.0).otherwise(0.0)

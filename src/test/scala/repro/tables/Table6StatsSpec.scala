@@ -1,17 +1,19 @@
-package repro.bench
+package repro.tables
 
-import repro.tables.Tables
+import org.scalatest.funsuite.AnyFunSuite
+import TableFixture.sim
 
 /** Paper Table 6: statistics derived from the PageRank default profile.
   * Paper values: N=1, M_h=4404MB, CPU 35%, Disk 2%, M_i=115MB, M_c=2300MB,
   * M_s=0MB, M_u=770MB, P=2, H=0.3, S=0.
   */
-class Table6StatsBench extends BenchSuite {
+class Table6StatsSpec extends AnyFunSuite {
 
   private lazy val st = Tables.table6(sim)
 
   test("Table 6 prints the statistics vector next to the paper's") {
-    emit(Tables.renderTable6(st))
+    val notations = Tables.renderTable6(st).linesIterator.drop(3).map(_.split('|')(1).trim).toSeq
+    assert(notations == Seq("N", "M_h", "CPU_avg", "Disk_avg", "M_i", "M_c", "M_s", "M_u", "P", "H", "S"))
   }
 
   test("container configuration matches the profiled default") {

@@ -1,7 +1,8 @@
-package repro.bench
+package repro.tables
 
+import org.scalatest.funsuite.AnyFunSuite
 import repro.sim.AppModel
-import repro.tables.Tables
+import TableFixture.t8
 
 /** Paper Table 8 (recommendations of all five policies per application) and
   * the aggregate quality/overhead claims of Figs 16-17:
@@ -11,14 +12,12 @@ import repro.tables.Tables
   *  - the tuned configurations beat MaxResourceAllocation substantially.
   * Fig 21's TPC-H headline (66 → 40 min) is asserted at the end.
   */
-class Table8RecommendationsBench extends BenchSuite {
+class Table8RecommendationsSpec extends AnyFunSuite {
 
-  private lazy val t8 = BenchBase.t8
   private val apps = AppModel.clusterASuite.map(_.name)
   private val policies = Seq("Exhaustive", "DDPG", "BO", "GBO", "RelM")
 
   test("Table 8 prints every policy's recommendation per application") {
-    emit(Tables.renderTable8(t8))
     assert(t8.rows.size == apps.size * policies.size)
   }
 
@@ -52,7 +51,8 @@ class Table8RecommendationsBench extends BenchSuite {
     }
   }
 
-  test("Fig 16: regression policies need <15% of the exhaustive effort") {
+  test("Fig 16: regression policies need <25% of the exhaustive effort") {
+    // The paper reports <15%; BO and GBO on PageRank pay 30/192 = 15.6% here.
     for (a <- apps; p <- Seq("BO", "GBO", "DDPG")) {
       val frac = t8.row(a, p).iterations.toDouble / t8.row(a, "Exhaustive").iterations
       assert(frac < 0.25, s"$a/$p: $frac")
@@ -92,9 +92,7 @@ class Table8RecommendationsBench extends BenchSuite {
   }
 
   test("Fig 21: TPC-H on Cluster B — RelM cuts the default runtime (paper 66→40 min)") {
-    val headline = Tables.tpchHeadline()
-    emit(Tables.renderFig21(headline))
-    val (default, tuned) = headline
+    val (default, tuned) = Tables.tpchHeadline()
     assert(tuned.safe)
     val ratio = tuned.runtimeSec / default.runtimeSec
     assert(ratio < 0.75 && ratio > 0.3, s"ratio=$ratio (paper 0.61)")

@@ -10,10 +10,7 @@ class PageRankSpec extends SparkSpec {
   private lazy val edges = SynthData.edges(spark, nEdges = 4000, nNodes = 300).cache()
 
   test("one PageRank iteration matches the DuckDB oracle") {
-    val nodes = edges.select(col("src") as "node")
-      .union(edges.select(col("dst") as "node")).distinct()
-    val ranks = nodes.select(col("node"), lit(1.0) as "rank")
-    val stepped = PageRankW.step(edges, ranks)
+    val stepped = PageRankW.step(edges, PageRankW.uniformRanks(edges))
       .select(col("node"), round(col("rank"), 6) as "rank")
     Oracle.assertEquivalent(stepped, PageRankW.oracleOneStepSql, "edges" -> edges)
   }
@@ -27,12 +24,10 @@ class PageRankSpec extends SparkSpec {
   }
 
   test("iteration converges: successive rank vectors stop moving") {
-    val nodes = edges.select(col("src") as "node")
-      .union(edges.select(col("dst") as "node")).distinct().cache()
-    var ranks = nodes.select(col("node"), lit(1.0) as "rank")
+    var ranks = PageRankW.uniformRanks(edges)
     var prevDelta = Double.MaxValue
     for (i <- 1 to 8) {
-      val next = PageRankW.step(edges, ranks)
+      val next = PageRankW.step(edges, ranks).localCheckpoint()
       if (i >= 6) {
         val delta = next.as("a").join(ranks.as("b"), "node")
           .select(sum(abs(col("a.rank") - col("b.rank"))) as "d").collect()(0).getDouble(0)
@@ -63,9 +58,7 @@ class PageRankSpec extends SparkSpec {
   }
 
   test("run's checkpointed ranks equal un-checkpointed steps") {
-    val nodes = edges.select(col("src") as "node")
-      .union(edges.select(col("dst") as "node")).distinct()
-    var stepped = nodes.select(col("node"), lit(1.0) as "rank")
+    var stepped = PageRankW.uniformRanks(edges)
     for (_ <- 1 to 3) stepped = PageRankW.step(edges, stepped)
     def byNode(df: DataFrame) =
       df.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
