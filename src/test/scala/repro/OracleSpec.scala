@@ -1,6 +1,11 @@
 package repro
 
+import java.sql.SQLException
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.{ListenerBusDrain, SparkException}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
+import scala.jdk.CollectionConverters._
 
 /** The DuckDB oracle itself: how it loads tables and when it rejects. */
 class OracleSpec extends SparkSpec {
@@ -46,6 +51,61 @@ class OracleSpec extends SparkSpec {
     for (order <- Seq(rows, rows.reverse)) {
       val values = order.reverse.map { case (a, b) => s"(${sqlLit(a)}, ${sqlLit(b)})" }.mkString(", ")
       Oracle.assertEquivalent(order.toDF("a", "b"), s"SELECT a, b FROM (VALUES $values) AS v(a, b)")
+    }
+  }
+
+  test("five tables of different schemas load under their own names") {
+    val a = Seq((1, "p"), (2, "q"), (3, "r"), (4, "s")).toDF("id", "x")
+    val b = Seq((1, 10L), (2, 20L), (3, 30L)).toDF("id", "y")
+    val c = Seq((1, 0.5, "u"), (2, 1.5, "v"), (3, 2.5, "w"), (4, 3.5, "z"), (5, 4.5, "t")).toDF("id", "z", "tag")
+    val d = Seq((2, true), (3, false)).toDF("id", "flag")
+    val e = Seq(("m", 3, 7), ("n", 2, 8), ("o", 6, 9), ("l", 9, 1), ("k", 1, 2), ("j", 3, 4)).toDF("name", "id", "q")
+    val joined = a.join(b, "id").join(c, "id").join(d, "id").join(e, "id")
+      .select("id", "x", "y", "z", "tag", "flag", "name", "q")
+    Oracle.assertEquivalent(joined,
+      """SELECT a.id, x, y, CAST(z AS DOUBLE) AS z, tag, flag, name, q
+        |FROM a JOIN b ON a.id = b.id JOIN c ON a.id = c.id
+        |JOIN d ON a.id = d.id JOIN e ON a.id = e.id""".stripMargin,
+      "a" -> a, "b" -> b, "c" -> c, "d" -> d, "e" -> e)
+  }
+
+  test("a failing Spark job surfaces its own SparkException, not an ExecutionException") {
+    val boom = udf((i: Long) => { if (i >= 0) throw new IllegalStateException("boom"); i })
+    val failing = spark.range(3).select(boom(col("id")) as "k")
+    intercept[SparkException] {
+      Oracle.assertEquivalent(failing, "SELECT k FROM kv", "kv" -> kv)
+    }
+    intercept[SparkException] {
+      Oracle.assertEquivalent(kv.select("k"), "SELECT k FROM kv", "kv" -> failing)
+    }
+  }
+
+  test("no Spark job the call starts outlives it when DuckDB rejects the SQL") {
+    val sc = spark.sparkContext
+    val group = "oracle-spec-join"
+    val started, ended = new ConcurrentLinkedQueue[Int]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty("spark.jobGroup.id") == group) started.add(e.jobId)
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = ended.add(e.jobId)
+    }
+    val nap = udf((i: Long) => { Thread.sleep(300); i })
+    val slow = spark.range(0, 2, 1, 2).select(nap(col("id")) as "id")
+    val fast = spark.range(2).toDF("id")
+    sc.addSparkListener(listener)
+    sc.setJobGroup(group, "jobs of rejected oracle calls")
+    try {
+      // A query DuckDB cannot parse, while the query under test runs; then
+      // a table name it cannot parse, while that table's collect runs.
+      intercept[SQLException](Oracle.assertEquivalent(slow, "SELEC id FROM t", "t" -> fast))
+      intercept[SQLException](Oracle.assertEquivalent(slow, "SELECT id FROM t", "select" -> slow))
+      ListenerBusDrain(sc)
+      val jobs = started.asScala.toSet
+      assert(jobs.nonEmpty, "no job started in the group")
+      assert(jobs.subsetOf(ended.asScala.toSet), s"started $jobs, ended ${ended.asScala.toSet}")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
     }
   }
 }
