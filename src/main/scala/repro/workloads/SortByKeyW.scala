@@ -8,8 +8,12 @@ import org.apache.spark.sql.functions._
   */
 object SortByKeyW {
 
-  /** Globally sorted (k, v) pairs — range-partitioned shuffle sort. */
-  def sorted(pairs: DataFrame): DataFrame = pairs.orderBy(col("k"), col("v"))
+  /** Globally sorted (k, v) pairs — range-partitioned shuffle sort. The
+    * range exchange is explicit, as in RDD `sortByKey`: on a one-partition
+    * input `orderBy` alone would sort in place and shuffle nothing.
+    */
+  def sorted(pairs: DataFrame): DataFrame =
+    pairs.repartitionByRange(col("k"), col("v")).sortWithinPartitions(col("k"), col("v"))
 
   /** The `limit` smallest pairs, for oracle comparison (a multiset check on
     * the full sorted output would not verify ordering; the smallest-k prefix

@@ -24,19 +24,20 @@ class PageRankSpec extends SparkSpec {
   }
 
   test("iteration converges: successive rank vectors stop moving") {
+    // step is r -> 0.15 + 0.85·M·r and M's columns sum to at most 1, so on any
+    // graph the L1 change δ_k of iteration k contracts: δ_{k+1} <= 0.85·δ_k
+    // (GraphX's damping). No bound on δ_8 itself holds for every graph.
     var ranks = PageRankW.uniformRanks(edges)
-    var prevDelta = Double.MaxValue
-    for (i <- 1 to 8) {
+    val deltas = (1 to 8).map { _ =>
       val next = PageRankW.step(edges, ranks).localCheckpoint()
-      if (i >= 6) {
-        val delta = next.as("a").join(ranks.as("b"), "node")
-          .select(sum(abs(col("a.rank") - col("b.rank"))) as "d").collect()(0).getDouble(0)
-        assert(delta < prevDelta + 1e-6)
-        prevDelta = delta
-      }
+      val delta = next.as("a").join(ranks.as("b"), "node")
+        .select(sum(abs(col("a.rank") - col("b.rank"))) as "d").collect()(0).getDouble(0)
       ranks = next
+      delta
     }
-    assert(prevDelta < 5.0)
+    info(deltas.map(d => f"$d%.4f").mkString("δ1..δ8 = ", ", ", ""))
+    for (k <- 1 to 7)
+      assert(deltas(k) <= 0.85 * deltas(k - 1) * (1 + 1e-9), s"δ${k + 1} vs δ$k: $deltas")
   }
 
   test("zipf-skewed destinations earn higher ranks than the median node") {
