@@ -1,7 +1,6 @@
 package repro.jobs
 
 import scala.collection.immutable.ListMap
-import repro.sim.{Hardware, Simulator}
 import repro.tables.Tables
 
 /** spark-submit entrypoint for the reproduced tables (see DESIGN.md): prints
@@ -11,16 +10,14 @@ import repro.tables.Tables
   * `sbt "runMain repro.jobs.TableJob table8"`.
   */
 object TableJob {
-  private lazy val sim = new Simulator(Hardware.ClusterA)
-
   private[repro] val tables: ListMap[String, () => String] = ListMap(
-    "table4" -> (() => Tables.renderTable4(Tables.table4(Hardware.ClusterA))),
-    "table5" -> (() => Tables.renderTable5(Tables.table5(sim))),
-    "table6" -> (() => Tables.renderTable6(Tables.table6(sim))),
-    "table7" -> (() => Tables.renderTable7(Tables.table7(Hardware.ClusterA))),
-    "table8" -> (() => Tables.renderTable8(Tables.table8(sim))),
-    "table9" -> (() => Tables.renderTable9(Tables.table9(sim))),
-    "table10" -> (() => Tables.renderTable10(Tables.table10(sim))),
+    "table4" -> (() => Tables.renderTable4(Tables.table4())),
+    "table5" -> (() => Tables.renderTable5(Tables.table5())),
+    "table6" -> (() => Tables.renderTable6(Tables.table6())),
+    "table7" -> (() => Tables.renderTable7(Tables.table7())),
+    "table8" -> (() => Tables.renderTable8(Tables.table8())),
+    "table9" -> (() => Tables.renderTable9(Tables.table9())),
+    "table10" -> (() => Tables.renderTable10(Tables.table10())),
     "fig21" -> (() => Tables.renderFig21(Tables.tpchHeadline())),
   )
 

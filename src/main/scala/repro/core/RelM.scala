@@ -8,14 +8,11 @@ import repro.sim.{AppModel, Hardware, MemoryConf, RunResult, Simulator}
   * @param candidates  best arbitrated configuration per container size
   * @param profileRuns profiled executions consumed (1, or 2 when the first
   *                    profile lacked full-GC events — paper Sec 4.1)
-  * @param stats       the statistics vector the models ran on
   */
 final case class RelMResult(
     recommended: MemoryConf,
-    recommendedArb: Arbitrated,
     candidates: Seq[Arbitrated],
     profileRuns: Seq[RunResult],
-    stats: Stats,
 )
 
 /** RelM tuner (paper Sec 4, Fig 12): Statistics Generator → Enumerator over
@@ -87,7 +84,6 @@ object RelM {
     val (st, runs) = gatherStats(app, sim, start, seed)
     val cands = candidates(st, sim.hw)
     require(cands.nonEmpty, s"RelM: no safe candidate for ${app.name}")
-    val best = cands.maxBy(_.utility)
-    RelMResult(toConf(sim.hw, best), best, cands, runs, st)
+    RelMResult(toConf(sim.hw, cands.maxBy(_.utility)), cands, runs)
   }
 }

@@ -62,6 +62,9 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
     if (replay.size < 4) return
     val (gwC, gbC) = critic.zeroGrads()
     val (gwA, gbA) = actor.zeroGrads()
+    // The actor step needs only ∂Q/∂a; the critic's parameter gradients it
+    // also accumulates are never applied, so they go to one scratch set.
+    val (gwX, gbX) = critic.zeroGrads()
     val n = math.min(batch, replay.size)
     var k = 0
     while (k < n) {
@@ -77,7 +80,7 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
       // Actor: ascend Q(s, μ(s)) — backprop −∂Q/∂a through the actor.
       val at = actor.forward(tr.s)
       val cQ = critic.forward(tr.s ++ at.output)
-      val gIn = critic.backward(cQ, Array(-1.0 / n), critic.zeroGrads()._1, critic.zeroGrads()._2)
+      val gIn = critic.backward(cQ, Array(-1.0 / n), gwX, gbX)
       actor.backward(at, gIn.drop(stateDim), gwA, gbA)
       k += 1
     }

@@ -77,7 +77,6 @@ object GcModel {
       cacheReqMb: Double,
       cacheUsedMb: Double,
       hitRatio: Double,
-      shuffleUsedMb: Double,
       chunkMb: Double,
       spillFraction: Double,
       heapDemandMb: Double,
@@ -115,7 +114,7 @@ object GcModel {
     val strictUsable = math.max(1.0, usable - jvmReservedMb)
     val headroom = math.max(1.0, strictUsable - cacheUsed - shuffleUsed)
 
-    Load(cacheReq, cacheUsed, hitRatio, shuffleUsed, chunk, spillFraction,
+    Load(cacheReq, cacheUsed, hitRatio, chunk, spillFraction,
          heapDemand, oldDemand, unmanaged, headroom, usable, strictUsable)
   }
 

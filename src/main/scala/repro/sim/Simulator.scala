@@ -31,10 +31,6 @@ final case class RunResult(
     failedContainers: Int,
     gcOverhead: Double,
     maxHeapUtil: Double,
-    cpuUtil: Double,
-    diskUtil: Double,
-    cacheHitRatio: Double,
-    spillFraction: Double,
     profile: Profile,
 ) {
   def runtimeMin: Double = runtimeSec / 60.0
@@ -140,10 +136,6 @@ final class Simulator(val hw: Hardware) {
       runtimeSec = runtime, aborted = aborted, failedContainers = failed,
       gcOverhead = gc,
       maxHeapUtil = math.min(1.0, l.heapDemandMb / conf.heapMb),
-      cpuUtil = math.min(1.0, cpuUtilRaw),
-      diskUtil = math.min(1.0, diskUtilRaw),
-      cacheHitRatio = l.hitRatio,
-      spillFraction = l.spillFraction,
       profile = profile,
     )
   }

@@ -5,11 +5,16 @@ import repro.opt._
 import repro.sim._
 
 /** Row builders and renderers for every table reproduced from the paper's
-  * evaluation. Benches assert on the rows and print them with the table's
-  * renderer; the jobs/ entrypoint prints them from spark-submit. Everything
-  * but Table 10's timings is deterministic in the seeds.
+  * evaluation. Tests assert on the rows and print them with the table's
+  * renderer; the jobs/ entrypoint prints them from spark-submit. The paper's
+  * setting is fixed: Tables 4–10 run on Cluster A (paper Table 3, Sec 6.1)
+  * and Fig 21 on Cluster B, at simulator seed 0. Everything but Table 10's
+  * timings is deterministic.
   */
 object Tables {
+
+  private val sim: Simulator = new Simulator(Hardware.ClusterA)
+  private val hw: Hardware = sim.hw
 
   // ---------------------------------------------------------------- shared
 
@@ -39,7 +44,7 @@ object Tables {
   // ------------------------------------------------------- Table 4 (defaults)
 
   /** Config values suggested by MaxResourceAllocation + framework defaults. */
-  def table4(hw: Hardware): Seq[(String, String)] = {
+  def table4(): Seq[(String, String)] = {
     val d = MemoryConf.default(hw)
     Seq(
       "Containers per Node" -> d.containersPerNode.toString,
@@ -61,29 +66,25 @@ object Tables {
                              result: RunResult)
 
   /** The paper's four manual-tuning steps for PageRank (Sec 3.5). */
-  def table5(sim: Simulator, seed: Long = 0L): Seq[ManualRow] = {
-    val hw = sim.hw
+  def table5(): Seq[ManualRow] =
     Seq((2, 0.6, 2), (1, 0.6, 2), (2, 0.4, 2), (2, 0.6, 5)).map { case (p, cap, nr) =>
       val c = MemoryConf.of(hw, 1, p, cap, 0.0, nr)
-      ManualRow(1, p, cap, nr, sim.run(AppModel.pageRank, c, seed))
+      ManualRow(1, p, cap, nr, sim.run(AppModel.pageRank, c))
     }
-  }
 
   def renderTable5(rows: Seq[ManualRow]): String =
     render("Table 5 — Manual tuning of PageRank (paper: 66*/59/49/53 min)",
       Seq("Containers", "P", "Cache", "NR", "Runtime(min)", "CacheHit", "GC", "Status"),
       rows.map(r => Seq(r.containers.toString, r.p.toString, f"${r.cacheCap}%.1f",
-        r.nr.toString, f"${r.result.runtimeMin}%.1f", f"${r.result.cacheHitRatio}%.2f",
+        r.nr.toString, f"${r.result.runtimeMin}%.1f", f"${r.result.profile.hitRatio}%.2f",
         f"${r.result.gcOverhead}%.2f",
         if (r.result.aborted) "aborted" else s"${r.result.failedContainers} failures")))
 
   // --------------------------------------------------- Table 6 (stats vector)
 
   /** Statistics derived from the PageRank default-configuration profile. */
-  def table6(sim: Simulator, seed: Long = 0L): repro.core.Stats = {
-    val run = sim.run(AppModel.pageRank, MemoryConf.default(sim.hw), seed)
-    StatsGenerator.fromProfile(run.profile)
-  }
+  def table6(): repro.core.Stats =
+    StatsGenerator.fromProfile(sim.run(AppModel.pageRank, MemoryConf.default(hw)).profile)
 
   /** The measured vector next to the paper's readings. */
   def renderTable6(st: repro.core.Stats): String =
@@ -106,7 +107,7 @@ object Tables {
   // --------------------------------------------------- Table 7 (LHS samples)
 
   /** The LHS bootstrap of Table 9's BO run: 4 samples for SVM, BO seed 42. */
-  def table7(hw: Hardware): Vector[MemoryConf] =
+  def table7(): Vector[MemoryConf] =
     new ConfigSpace(hw, AppModel.svm).lhs(4, 42L)
 
   def renderTable7(samples: Seq[MemoryConf]): String =
@@ -136,9 +137,10 @@ object Tables {
   }
 
   /** Run every tuning policy on every Cluster-A application (paper Table 8 +
-    * the aggregate claims of Figs 16/17).
+    * the aggregate claims of Figs 16/17). The paper's table is seed 0; the
+    * tune-table8 benchmark sweeps `seed`.
     */
-  def table8(sim: Simulator, seed: Long = 0L): Table8Result = {
+  def table8(sim: Simulator = Tables.sim, seed: Long = 0L): Table8Result = {
     val hw = sim.hw
     val rows = Vector.newBuilder[PolicyRow]
     var defaults = Map.empty[String, RunResult]
@@ -197,11 +199,10 @@ object Tables {
   /** Log of one BO run for SVM: the 4 LHS bootstrap samples then the
     * adaptive probes, with runtimes (paper Table 9).
     */
-  def table9(sim: Simulator, seed: Long = 0L): Vector[(Int, Observation)] = {
+  def table9(): Vector[(Int, Observation)] = {
     val app = AppModel.svm
-    val space = new ConfigSpace(sim.hw, app)
-    val env = new TuningEnv(app, sim, seed)
-    new BayesOpt(space, guide = None, seed = seed + 42).tune(env)
+    val env = new TuningEnv(app, sim)
+    new BayesOpt(new ConfigSpace(hw, app), guide = None, seed = 42L).tune(env)
     env.history.zipWithIndex.map { case (o, i) =>
       (math.max(0, i - 3), o) // paper labels the 4 LHS samples "0"
     }
@@ -235,14 +236,13 @@ object Tables {
   /** Measure one iteration's overhead components per policy (paper Table 10):
     * statistics collection, model fitting, model probing, stored model size.
     */
-  def table10(sim: Simulator, seed: Long = 0L): Seq[OverheadRow] = {
-    val hw = sim.hw
+  def table10(): Seq[OverheadRow] = {
     val app = AppModel.svm
     val space = new ConfigSpace(hw, app)
 
     // A training history to fit against (10 observations).
-    val env = new TuningEnv(app, sim, seed)
-    val samples = space.lhs(10, seed)
+    val env = new TuningEnv(app, sim)
+    val samples = space.lhs(10, 0L)
     samples.foreach(env.evaluate)
     val hist = env.history
     val run = hist.head.result
@@ -259,13 +259,13 @@ object Tables {
       OverheadRow(policy, statsCollectMs, fitMs, probeMs,
         modelSizeBytes = 8L * hist.size * (b.features(hist.head.conf).length + 1))
     }
-    val bo = gpRow("BO", new BayesOpt(space, guide = None, seed = seed), statsCollectMs = 0.0)
-    val gbo = gpRow("GBO", new BayesOpt(space, guide = Some(stats), seed = seed),
+    val bo = gpRow("BO", new BayesOpt(space, guide = None, seed = 0L), statsCollectMs = 0.0)
+    val gbo = gpRow("GBO", new BayesOpt(space, guide = Some(stats), seed = 0L),
       statsCollectMs = statsMs + qMs)
 
     // DDPG: one replay-batch actor-critic update (fit) + one action (probe).
-    val ddpg = new Ddpg(space, seed = seed)
-    ddpg.tune(new TuningEnv(app, sim, seed + 1)) // populate the replay buffer
+    val ddpg = new Ddpg(space, seed = 0L)
+    ddpg.tune(new TuningEnv(app, sim, 1L)) // populate the replay buffer
     val (_, ddpgFit) = timeMs(ddpg.train())
     val s0 = ddpg.state(hist.head)
     val (_, ddpgProbe) = timeMs(ddpg.actor(s0))
@@ -299,11 +299,10 @@ object Tables {
   // ------------------------------------------------- TPC-H headline (Fig 21)
 
   /** Default-vs-RelM TPC-H runtimes on Cluster B (paper: 66 min → 40 min). */
-  def tpchHeadline(seed: Long = 0L): (RunResult, RunResult) = {
+  def tpchHeadline(): (RunResult, RunResult) = {
     val sim = new Simulator(Hardware.ClusterB)
-    val default = sim.run(AppModel.tpch, MemoryConf.default(Hardware.ClusterB), seed)
-    val relm = RelM.tune(AppModel.tpch, sim, seed)
-    (default, sim.run(AppModel.tpch, relm.recommended, seed))
+    val default = sim.run(AppModel.tpch, MemoryConf.default(sim.hw))
+    (default, sim.run(AppModel.tpch, RelM.tune(AppModel.tpch, sim).recommended))
   }
 
   /** Both runtimes next to the paper's, then the configuration RelM picked. */

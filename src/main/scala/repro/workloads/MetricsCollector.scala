@@ -14,10 +14,8 @@ final case class WorkloadFootprint(
     totalTaskMs: Long,
     gcTimeMs: Long,
     shuffleWriteBytes: Long,
-    shuffleReadBytes: Long,
     spilledBytes: Long,
     peakExecutionMemory: Long,
-    inputRecords: Long,
 ) {
   def gcOverhead: Double = if (totalTaskMs == 0) 0.0 else gcTimeMs.toDouble / totalTaskMs
 }
@@ -28,10 +26,8 @@ final class MetricsCollector extends SparkListener {
   private val dur = new LongAdder
   private val gc = new LongAdder
   private val sw = new LongAdder
-  private val sr = new LongAdder
   private val spill = new LongAdder
   private val peak = new AtomicLong(0)
-  private val input = new LongAdder
 
   override def onTaskEnd(te: SparkListenerTaskEnd): Unit = {
     val m = te.taskMetrics
@@ -40,16 +36,13 @@ final class MetricsCollector extends SparkListener {
       dur.add(m.executorRunTime)
       gc.add(m.jvmGCTime)
       sw.add(m.shuffleWriteMetrics.bytesWritten)
-      sr.add(m.shuffleReadMetrics.totalBytesRead)
       spill.add(m.memoryBytesSpilled + m.diskBytesSpilled)
       peak.getAndUpdate(p => math.max(p, m.peakExecutionMemory))
-      input.add(m.inputMetrics.recordsRead)
     }
   }
 
-  def footprint: WorkloadFootprint = WorkloadFootprint(
-    tasks.sum(), dur.sum(), gc.sum(), sw.sum(), sr.sum(), spill.sum(),
-    peak.get(), input.sum())
+  def footprint: WorkloadFootprint =
+    WorkloadFootprint(tasks.sum(), dur.sum(), gc.sum(), sw.sum(), spill.sum(), peak.get())
 }
 
 object MetricsCollector {

@@ -15,11 +15,14 @@ import repro.SynthData
   */
 object TpchQueries {
 
+  /** The four tables at scale `sf`. Seed 0 gives each generator its default
+    * seed; another seed shifts all four, giving other rows of the same sizes.
+    */
   final case class Tpch(spark: SparkSession, sf: Double, seed: Long = 0) {
-    val lineitem: DataFrame = SynthData.lineitem(spark, sf)
-    val orders: DataFrame   = SynthData.orders(spark, sf)
-    val customer: DataFrame = SynthData.customer(spark, sf)
-    val part: DataFrame     = SynthData.part(spark, sf)
+    val lineitem: DataFrame = SynthData.lineitem(spark, sf, seed)
+    val orders: DataFrame   = SynthData.orders(spark, sf, seed + 1)
+    val customer: DataFrame = SynthData.customer(spark, sf, seed + 2)
+    val part: DataFrame     = SynthData.part(spark, sf, seed + 5)
   }
 
   final case class Query(name: String, spark: DataFrame, duckSql: String,

@@ -2,6 +2,7 @@ package repro
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.workloads.TpchQueries.Tpch
 
 class SynthDataSpec extends SparkSpec {
 
@@ -20,20 +21,21 @@ class SynthDataSpec extends SparkSpec {
 
   private case class Fingerprint(partitions: Int, rows: Long, checksum: Long)
 
-  /** Each generator built with `spark.range` split into `parts` partitions.
-    * The checksum is order-free; it reduces each row hash mod a prime so the
+  /** The checksum is order-free; it reduces each row hash mod a prime so the
     * sum cannot overflow under ANSI.
     */
+  private def fingerprint(df: DataFrame): Fingerprint = {
+    val row = df.agg(count(lit(1)),
+      sum(pmod(xxhash64(df.columns.map(col).toIndexedSeq: _*), lit(1000000007L)))).head()
+    Fingerprint(df.rdd.getNumPartitions, row.getLong(0), row.getLong(1))
+  }
+
+  /** Each generator built with `spark.range` split into `parts` partitions. */
   private def fingerprints(parts: Int): Map[String, Fingerprint] = {
     val key = "spark.sql.leafNodeDefaultParallelism"
     val saved = spark.conf.getOption(key)
     spark.conf.set(key, parts.toLong)
-    try generators.map { case (name, gen) =>
-      val df = gen()
-      val row = df.agg(count(lit(1)),
-        sum(pmod(xxhash64(df.columns.map(col).toIndexedSeq: _*), lit(1000000007L)))).head()
-      name -> Fingerprint(df.rdd.getNumPartitions, row.getLong(0), row.getLong(1))
-    }.toMap
+    try generators.map { case (name, gen) => name -> fingerprint(gen()) }.toMap
     finally saved.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
 
@@ -47,5 +49,15 @@ class SynthDataSpec extends SparkSpec {
       assert(one(name).rows == four(name).rows)
       assert(one(name).checksum == four(name).checksum)
     }
+  }
+
+  test("Tpch passes its seed to every table; seed 0 gives the default tables") {
+    val tables = (t: Tpch) => Seq(t.lineitem, t.orders, t.customer, t.part).map(fingerprint)
+    val gen = generators.toMap
+    val defaults = Seq("lineitem", "orders", "customer", "part").map(n => fingerprint(gen(n)()))
+    assert(tables(Tpch(spark, sf = 0.001, seed = 0)) == defaults)
+    val reseeded = tables(Tpch(spark, sf = 0.001, seed = 1))
+    assert(reseeded.map(_.rows) == defaults.map(_.rows))
+    for ((r, d) <- reseeded.zip(defaults)) assert(r.checksum != d.checksum)
   }
 }

@@ -75,13 +75,13 @@ class SimulatorSpec extends AnyFunSuite {
   }
 
   test("Fig 7: SVM fits its working set from capacity ~0.5 and plateaus") {
-    assert(withCap(AppModel.svm, 0.6).cacheHitRatio > 0.95)
+    assert(withCap(AppModel.svm, 0.6).profile.hitRatio > 0.95)
     val plateau = withCap(AppModel.svm, 0.8).runtimeSec / withCap(AppModel.svm, 0.6).runtimeSec
     assert(plateau > 0.85 && plateau < 1.15)
   }
 
   test("Fig 7: K-means cannot fit all partitions before hitting memory limits") {
-    assert(withCap(AppModel.kMeans, 0.8).cacheHitRatio < 1.0)
+    assert(withCap(AppModel.kMeans, 0.8).profile.hitRatio < 1.0)
   }
 
   test("Fig 7 (counter-intuitive): more shuffle memory slows SortByKey down") {

@@ -1,7 +1,6 @@
 package repro.tables
 
 import org.scalatest.funsuite.AnyFunSuite
-import TableFixture.sim
 
 /** Paper Table 10: per-iteration algorithm overheads. Paper readings:
   * DDPG fit 100ms / probe 2ms / 3KB; BO fit 140ms / probe 800ms / 5KB;
@@ -10,7 +9,7 @@ import TableFixture.sim
   */
 class Table10OverheadsSpec extends AnyFunSuite {
 
-  private lazy val rows = Tables.table10(sim)
+  private lazy val rows = Tables.table10()
   private def row(p: String) = rows.find(_.policy == p).get
 
   test("Table 10 prints per-iteration overheads for every policy") {

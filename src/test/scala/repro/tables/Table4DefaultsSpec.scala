@@ -1,7 +1,7 @@
 package repro.tables
 
 import org.scalatest.funsuite.AnyFunSuite
-import TableFixture.hw
+import repro.sim.{Hardware, MemoryConf}
 
 /** Paper Table 4: config values suggested by MaxResourceAllocation and the
   * framework defaults on Cluster A. These must match the paper exactly —
@@ -9,7 +9,7 @@ import TableFixture.hw
   */
 class Table4DefaultsSpec extends AnyFunSuite {
 
-  private lazy val rows = Tables.table4(hw)
+  private lazy val rows = Tables.table4()
 
   test("Table 4 reproduces the paper's default configuration verbatim") {
     val m = rows.toMap
@@ -22,7 +22,7 @@ class Table4DefaultsSpec extends AnyFunSuite {
   }
 
   test("the default policy gives one fat container the entire node") {
-    val d = repro.sim.MemoryConf.default(hw)
-    assert(d.heapMb == hw.maxHeapPerNodeMb.toDouble)
+    val d = MemoryConf.default(Hardware.ClusterA)
+    assert(d.heapMb == Hardware.ClusterA.maxHeapPerNodeMb.toDouble)
   }
 }

@@ -1,7 +1,6 @@
 package repro.tables
 
 import org.scalatest.funsuite.AnyFunSuite
-import TableFixture.sim
 
 /** Paper Table 5: manual tuning of PageRank (Sec 3.5).
   *
@@ -16,7 +15,7 @@ import TableFixture.sim
   */
 class Table5ManualTuningSpec extends AnyFunSuite {
 
-  private lazy val rows = Tables.table5(sim)
+  private lazy val rows = Tables.table5()
 
   test("Table 5 rows print with runtime, hit ratio and GC overheads") {
     assert(rows.size == 4)
@@ -33,7 +32,7 @@ class Table5ManualTuningSpec extends AnyFunSuite {
   test("row 3 (lower cache) is the fastest fix despite the lower hit ratio") {
     val fixes = rows.drop(1)
     assert(fixes(1).result.runtimeSec == fixes.map(_.result.runtimeSec).min)
-    assert(fixes(1).result.cacheHitRatio < fixes(0).result.cacheHitRatio)
+    assert(fixes(1).result.profile.hitRatio < fixes(0).result.profile.hitRatio)
   }
 
   test("row 4 (NewRatio 5) prevents kills but pays GC versus row 3 (Obs 6)") {
@@ -42,6 +41,6 @@ class Table5ManualTuningSpec extends AnyFunSuite {
   }
 
   test("cache hit ratio of the default row is near the paper's 0.3") {
-    assert(math.abs(rows(0).result.cacheHitRatio - 0.3) < 0.1)
+    assert(math.abs(rows(0).result.profile.hitRatio - 0.3) < 0.1)
   }
 }

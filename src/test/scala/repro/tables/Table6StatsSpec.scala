@@ -1,7 +1,6 @@
 package repro.tables
 
 import org.scalatest.funsuite.AnyFunSuite
-import TableFixture.sim
 
 /** Paper Table 6: statistics derived from the PageRank default profile.
   * Paper values: N=1, M_h=4404MB, CPU 35%, Disk 2%, M_i=115MB, M_c=2300MB,
@@ -9,7 +8,7 @@ import TableFixture.sim
   */
 class Table6StatsSpec extends AnyFunSuite {
 
-  private lazy val st = Tables.table6(sim)
+  private lazy val st = Tables.table6()
 
   test("Table 6 prints the statistics vector next to the paper's") {
     val notations = Tables.renderTable6(st).linesIterator.drop(3).map(_.split('|')(1).trim).toSeq

@@ -1,7 +1,7 @@
 package repro.tables
 
 import org.scalatest.funsuite.AnyFunSuite
-import TableFixture.hw
+import repro.sim.Hardware
 
 /** Paper Table 7: the 4 Latin-Hypercube samples bootstrapping BO.
   * The paper's draws are one realization; the properties that matter are the
@@ -9,7 +9,7 @@ import TableFixture.hw
   */
 class Table7LhsSpec extends AnyFunSuite {
 
-  private lazy val samples = Tables.table7(hw)
+  private lazy val samples = Tables.table7()
 
   test("Table 7 prints our LHS bootstrap draw") {
     assert(samples.size == 4)
@@ -32,7 +32,7 @@ class Table7LhsSpec extends AnyFunSuite {
 
   test("all samples are legal configurations") {
     for (c <- samples) {
-      assert(c.taskConcurrency <= hw.maxConcurrency(c.containersPerNode))
+      assert(c.taskConcurrency <= Hardware.ClusterA.maxConcurrency(c.containersPerNode))
       assert(c.newRatio >= 1 && c.newRatio <= 9)
     }
   }

@@ -1,14 +1,13 @@
 package repro.tables
 
 import org.scalatest.funsuite.AnyFunSuite
-import TableFixture.sim
 
 /** Paper Table 9: the log of one BO run for SVM — 4 LHS bootstrap samples
   * ("sample 0") followed by adaptive probes until the stopping rule fires.
   */
 class Table9BoLogSpec extends AnyFunSuite {
 
-  private lazy val log = Tables.table9(sim)
+  private lazy val log = Tables.table9()
 
   test("Table 9 prints the BO run log for SVM") {
     assert(log.nonEmpty)
