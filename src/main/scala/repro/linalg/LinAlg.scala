@@ -11,35 +11,53 @@ object LinAlg {
     * is borderline.
     */
   def cholesky(a: Array[Array[Double]]): Array[Array[Double]] = {
-    val n = a.length
-    val l = Array.ofDim[Double](n, n)
+    val l = Array.ofDim[Double](a.length, a.length)
+    choleskyFrom(a, l, 0)
+    l
+  }
+
+  /** Extends a Cholesky factor one row at a time: fills rows `from` until
+    * `a.length` of L, whose rows before `from` already hold the jitter-free
+    * factor of A's leading block. Only entries on or below the diagonal of
+    * A and L are read or written, so both may hold just those. If a pivot
+    * is not positive, the diagonal is jittered (1e-10, then ×10) and the
+    * whole factor is rebuilt from row 0. Returns the jitter used, 0 when
+    * none was needed.
+    */
+  def choleskyFrom(a: Array[Array[Double]], l: Array[Array[Double]], from: Int): Double = {
     var jitter = 0.0
-    var done = false
-    while (!done) {
-      done = true
-      var i = 0
-      while (done && i < n) {
-        var j = 0
-        while (done && j <= i) {
-          var s = 0.0
-          var k = 0
-          while (k < j) { s += l(i)(k) * l(j)(k); k += 1 }
-          if (i == j) {
-            val d = a(i)(i) + jitter - s
-            if (d <= 0) {
-              jitter = if (jitter == 0) 1e-10 else jitter * 10
-              require(jitter < 1e-2, "cholesky: matrix far from PD")
-              var x = 0
-              while (x < n) { java.util.Arrays.fill(l(x), 0.0); x += 1 }
-              done = false
-            } else l(i)(i) = math.sqrt(d)
-          } else l(i)(j) = (a(i)(j) - s) / l(j)(j)
-          j += 1
-        }
-        i += 1
+    var i = from
+    while (i < a.length) {
+      if (choleskyRow(a(i), l, i, jitter)) i += 1
+      else {
+        jitter = if (jitter == 0) 1e-10 else jitter * 10
+        require(jitter < 1e-2, "cholesky: matrix far from PD")
+        i = 0
       }
     }
-    l
+    jitter
+  }
+
+  /** Row i of L from row i of A and rows 0 until i of L; false when the
+    * pivot is not positive.
+    */
+  private def choleskyRow(ai: Array[Double], l: Array[Array[Double]], i: Int, jitter: Double): Boolean = {
+    val li = l(i)
+    var j = 0
+    while (j <= i) {
+      val lj = l(j)
+      var s = 0.0
+      var k = 0
+      while (k < j) { s += li(k) * lj(k); k += 1 }
+      if (j < i) li(j) = (ai(j) - s) / lj(j)
+      else {
+        val d = ai(i) + jitter - s
+        if (d <= 0) return false
+        li(i) = math.sqrt(d)
+      }
+      j += 1
+    }
+    true
   }
 
   /** Solve L y = b (forward substitution). */

@@ -7,6 +7,10 @@ import repro.linalg.LinAlg
   * different dimensionality — BO's 4 knobs vs GBO's 4+3 — are comparable),
   * constant observation noise. Targets are standardized internally so
   * runtime magnitudes don't leak into kernel hyperparameters.
+  *
+  * The model grows: [[add]] appends one observation, one row of the kernel
+  * matrix and one row of its Cholesky factor, then re-solves α. [[fit]]
+  * replaces the data and factors every row at once.
   */
 final class GaussianProcess {
 
@@ -15,7 +19,13 @@ final class GaussianProcess {
   private val noiseVar = 1e-3
 
   private var xs: Array[Array[Double]] = Array.empty
+  private var ys: Array[Double] = Array.empty
+  /** Row i holds K(i)(0..i), the noise on the diagonal. */
+  private var kRows: Array[Array[Double]] = Array.empty
+  /** Row i holds L(i)(0..i). */
   private var chol: Array[Array[Double]] = Array.empty
+  private var jitter = 0.0
+  private var changedFrom = 0
   private var alpha: Array[Double] = Array.empty
   private var yMean = 0.0
   private var yStd = 1.0
@@ -29,17 +39,46 @@ final class GaussianProcess {
 
   def fit(x: Array[Array[Double]], y: Array[Double]): Unit = {
     require(x.length == y.length && x.nonEmpty)
-    xs = x
-    yMean = y.sum / y.length
-    yStd = math.max(1e-9, math.sqrt(y.map(v => (v - yMean) * (v - yMean)).sum / y.length))
-    val yn = y.map(v => (v - yMean) / yStd)
-    val n = x.length
-    val k = Array.tabulate(n, n) { (i, j) =>
-      kernel(x(i), x(j)) + (if (i == j) noiseVar else 0.0)
-    }
-    chol = LinAlg.cholesky(k)
-    alpha = LinAlg.choleskySolve(chol, yn)
+    xs = x.clone()
+    ys = y.clone()
+    kRows = Array.tabulate(x.length)(kernelRow)
+    chol = Array.tabulate(x.length)(i => new Array[Double](i + 1))
+    factor(0)
   }
+
+  /** Adds one observation. While no pivot has needed jitter this costs one
+    * new factor row; after that, every add refactors from row 0.
+    */
+  def add(x: Array[Double], y: Double): Unit = {
+    xs = xs :+ x
+    ys = ys :+ y
+    kRows = kRows :+ kernelRow(size - 1)
+    chol = chol :+ new Array[Double](size)
+    factor(if (jitter == 0.0) size - 1 else 0)
+  }
+
+  /** K(i)(0..i): the kernel against every earlier point, noise on the diagonal. */
+  private def kernelRow(i: Int): Array[Double] =
+    Array.tabulate(i + 1)(j => if (j < i) kernel(xs(i), xs(j)) else kernel(xs(i), xs(i)) + noiseVar)
+
+  private def factor(from: Int): Unit = {
+    jitter = LinAlg.choleskyFrom(kRows, chol, from)
+    changedFrom = if (jitter == 0.0) from else 0
+    yMean = ys.sum / ys.length
+    yStd = math.max(1e-9, math.sqrt(ys.map(v => (v - yMean) * (v - yMean)).sum / ys.length))
+    alpha = LinAlg.choleskySolve(chol, ys.map(v => (v - yMean) / yStd))
+  }
+
+  def size: Int = xs.length
+
+  /** The first factor row the last [[fit]] or [[add]] wrote: `size - 1`
+    * after an append, 0 after a full factorization.
+    */
+  private[opt] def factorChangedFrom: Int = changedFrom
+  private[opt] def factorRow(i: Int): Array[Double] = chol(i)
+  private[opt] def weights: Array[Double] = alpha
+  private[opt] def targetMean: Double = yMean
+  private[opt] def targetStd: Double = yStd
 
   /** Posterior mean and standard deviation at a point (Eq 6). */
   def predict(x: Array[Double]): (Double, Double) = {

@@ -1,6 +1,7 @@
 package repro.opt
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.RelM
 import repro.sim._
 
 /** Bayesian Optimization (Sec 5.1): acquisition, stopping, and tuning
@@ -39,15 +40,60 @@ class BoSpec extends AnyFunSuite {
     assert(tr.iterations <= 30) // 4 + at most 26 adaptive samples
   }
 
+  /** One tuning session to check the sweep against: its name, space,
+    * tuner, history, and every grid point's features.
+    */
+  private final class Run(val name: String, val space: ConfigSpace, val b: BayesOpt, val hist: Vector[Observation]) {
+    lazy val feats: Vector[Array[Double]] = space.all.map(b.features)
+  }
+
+  /** Table 9's SVM run of BO, GBO on the same app, and BO and GBO on
+    * PageRank, whose aborts spend the whole 30-probe budget.
+    */
+  private lazy val runs: Seq[Run] =
+    for (app <- Seq(AppModel.svm, AppModel.pageRank); guided <- Seq(false, true)) yield {
+      val space = new ConfigSpace(hw, app)
+      val guide = if (guided) Some(RelM.gatherStats(app, sim, MemoryConf.default(hw), 0L)._1) else None
+      val b = new BayesOpt(space, guide, seed = 42)
+      new Run(s"${if (guided) "GBO" else "BO"}/${app.name}", space, b, b.tune(new TuningEnv(app, sim)).history)
+    }
+
   test("every adaptive probe of Table 9's run is the EI argmax of the history before it") {
-    val space = new ConfigSpace(hw, AppModel.svm)
-    val b = bo(AppModel.svm)
-    val hist = b.tune(new TuningEnv(AppModel.svm, sim)).history
-    val nInit = space.lhs(4, 42).distinct.size
-    assert(hist.size > nInit)
-    for (k <- nInit until hist.size) {
-      val prefix = hist.take(k)
-      assert(b.propose(b.fit(prefix), prefix).map(_._1).contains(hist(k).conf), s"step $k")
+    // The reference: one GaussianProcess.predict per unprobed grid point,
+    // on a GP fitted to the prefix from scratch.
+    for (r <- runs) {
+      val nInit = r.space.lhs(4, 42).distinct.size
+      assert(r.hist.size > nInit, r.name)
+      if (r.name == "BO/PageRank") assert(r.hist.size == 30, r.name)
+      for (k <- nInit until r.hist.size) {
+        val prefix = r.hist.take(k)
+        val gp = r.b.fit(prefix)
+        val tau = prefix.map(_.objective).min
+        val seen = prefix.map(_.conf).toSet
+        val want = r.space.all.indices.filterNot(i => seen(r.space.all(i))).maxBy { i =>
+          val (m, s) = gp.predict(r.feats(i)); r.b.expectedImprovement(m, s, tau)
+        }
+        assert(r.hist(k).conf == r.space.all(want), s"${r.name} step $k")
+        assert(r.b.propose(prefix).map(_._1).contains(r.space.all(want)), s"${r.name} step $k")
+      }
+    }
+  }
+
+  test("the sweep's posterior equals GaussianProcess.predict at every unseen grid point") {
+    // BO's 4-d and GBO's 7-d features, after each of up to 30 observations.
+    for (r <- runs) {
+      val s = r.b.session(Nil)
+      for (k <- 1 to r.hist.size) {
+        s.observe(r.hist(k - 1))
+        s.posterior()
+        val gp = r.b.fit(r.hist.take(k))
+        val seen = r.hist.take(k).map(_.conf).toSet
+        val differing = r.space.all.indices.filterNot(i => seen(r.space.all(i))).count { i =>
+          val (m, sd) = gp.predict(r.feats(i))
+          s.mean(i) != m || s.sd(i) != sd
+        }
+        assert(differing == 0, s"${r.name} after $k observations")
+      }
     }
   }
 

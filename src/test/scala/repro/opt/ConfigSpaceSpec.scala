@@ -13,6 +13,13 @@ class ConfigSpaceSpec extends AnyFunSuite {
     assert(Exhaustive.grid(space).size == 192)
   }
 
+  test("the candidate grid has no repeated point, so BO marks a probe by its one index") {
+    for (app <- AppModel.clusterASuite) {
+      val all = new ConfigSpace(hw, app).all
+      assert(all.distinct.size == all.size, app.name)
+    }
+  }
+
   test("the exhaustive grid respects the cores-per-container bound") {
     for (c <- Exhaustive.grid(space))
       assert(c.taskConcurrency <= hw.maxConcurrency(c.containersPerNode))

@@ -70,7 +70,25 @@ class GpSpec extends AnyFunSuite {
     val x = Array(Array(0.2), Array(0.2), Array(0.8))
     val y = Array(1.0, 1.1, 2.0)
     val gp = new GaussianProcess()
-    gp.fit(x, y) // needs the noise/jitter path
+    // The 1e-3 observation noise alone keeps the second pivot near 0.002,
+    // so no jitter is needed.
+    gp.fit(x, y)
     assert(!gp.predict(Array(0.5))._1.isNaN)
+  }
+
+  test("adding observations one at a time gives the model fit to all of them at once") {
+    val rnd = new scala.util.Random(7)
+    val x = Array.fill(12)(Array.fill(3)(rnd.nextDouble()))
+    val y = x.map(p => p.sum + rnd.nextGaussian())
+    val grown = new GaussianProcess()
+    for (i <- x.indices) {
+      grown.add(x(i), y(i))
+      val fitted = new GaussianProcess()
+      fitted.fit(x.take(i + 1), y.take(i + 1))
+      for (_ <- 0 until 20) {
+        val q = Array.fill(3)(rnd.nextDouble())
+        assert(grown.predict(q) == fitted.predict(q), s"after ${i + 1} observations")
+      }
+    }
   }
 }

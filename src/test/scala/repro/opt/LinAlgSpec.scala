@@ -68,6 +68,72 @@ class LinAlgSpec extends AnyFunSuite {
       Array(1.0, 1.0))
     val l = LinAlg.cholesky(a) // singular: must jitter, not throw
     assert(l(0)(0) > 0)
+    assert(LinAlg.choleskyFrom(a, Array.ofDim[Double](2, 2), 0) > 0)
+    assert(l.map(_.toSeq).toSeq == allAtOnce(a).map(_.toSeq).toSeq)
+  }
+
+  /** The factorization as one pass over the whole matrix, restarted from
+    * scratch with more jitter whenever a pivot fails: the reference the
+    * row-appending one must equal bit for bit.
+    */
+  private def allAtOnce(a: Array[Array[Double]]): Array[Array[Double]] = {
+    val n = a.length
+    val l = Array.ofDim[Double](n, n)
+    var jitter = 0.0
+    var done = false
+    while (!done) {
+      done = true
+      var i = 0
+      while (done && i < n) {
+        var j = 0
+        while (done && j <= i) {
+          var s = 0.0
+          var k = 0
+          while (k < j) { s += l(i)(k) * l(j)(k); k += 1 }
+          if (i == j) {
+            val d = a(i)(i) + jitter - s
+            if (d <= 0) {
+              jitter = if (jitter == 0) 1e-10 else jitter * 10
+              l.foreach(java.util.Arrays.fill(_, 0.0))
+              done = false
+            } else l(i)(i) = math.sqrt(d)
+          } else l(i)(j) = (a(i)(j) - s) / l(j)(j)
+          j += 1
+        }
+        i += 1
+      }
+    }
+    l
+  }
+
+  test("appending rows one at a time gives the all-at-once factor bit for bit") {
+    val rnd = new scala.util.Random(3)
+    val gp = new GaussianProcess()
+    for (trial <- 0 until 20) {
+      val n = 2 + rnd.nextInt(29)
+      val x = Array.fill(n)(Array.fill(4)(rnd.nextDouble()))
+      // A GP kernel matrix with its noise on the diagonal, as BO factors it.
+      val a = Array.tabulate(n, n)((i, j) => gp.kernel(x(i), x(j)) + (if (i == j) 1e-3 else 0.0))
+      val want = allAtOnce(a).map(_.toSeq).toSeq
+      assert(LinAlg.cholesky(a).map(_.toSeq).toSeq == want, s"trial $trial")
+      // Lower-triangular rows only, grown as GaussianProcess.add grows them.
+      val rows = Array.tabulate(n)(i => a(i).take(i + 1))
+      val l = Array.tabulate(n)(i => new Array[Double](i + 1))
+      for (i <- 0 until n) assert(LinAlg.choleskyFrom(rows.take(i + 1), l, i) == 0.0, s"trial $trial row $i")
+      assert(l.map(_.toSeq).toSeq == want.indices.map(i => want(i).take(i + 1)), s"trial $trial")
+    }
+  }
+
+  test("a row that needs jitter refactors from row 0 as the all-at-once factorization does") {
+    // Rows 1 and 2 are identical, so the third pivot is exactly 0.
+    val a = Array(
+      Array(1.0, 0.0, 0.0),
+      Array(0.0, 1.0, 1.0),
+      Array(0.0, 1.0, 1.0))
+    val l = Array.ofDim[Double](3, 3)
+    assert(LinAlg.choleskyFrom(a.take(2), l, 0) == 0.0)
+    assert(LinAlg.choleskyFrom(a, l, 2) > 0.0)
+    assert(l.map(_.toSeq).toSeq == allAtOnce(a).map(_.toSeq).toSeq)
   }
 
   test("dot product") {

@@ -8,6 +8,9 @@ import org.apache.spark.storage.StorageLevel
 class PageRankSpec extends SparkSpec {
 
   private lazy val edges = SynthData.edges(spark, nEdges = 4000, nNodes = 300).cache()
+  // Each run is shared by the tests that read it.
+  private lazy val ranks5 = PageRankW.run(edges, iters = 5)
+  private lazy val ranks2 = PageRankW.run(edges, iters = 2)
 
   test("one PageRank iteration matches the DuckDB oracle") {
     val stepped = PageRankW.step(edges, PageRankW.uniformRanks(edges))
@@ -16,11 +19,9 @@ class PageRankSpec extends SparkSpec {
   }
 
   test("ranks stay positive and bounded") {
-    val ranks = PageRankW.run(edges, iters = 5)
-    val stats = ranks.agg(min("rank"), max("rank")).collect()(0)
+    val stats = ranks5.agg(min("rank"), max("rank")).collect()(0)
     assert(stats.getDouble(0) >= 0.15 - 1e-9)
     assert(stats.getDouble(1) < 1000)
-    ranks.unpersist(); ()
   }
 
   test("iteration converges: successive rank vectors stop moving") {
@@ -41,21 +42,18 @@ class PageRankSpec extends SparkSpec {
   }
 
   test("zipf-skewed destinations earn higher ranks than the median node") {
-    val ranks = PageRankW.run(edges, iters = 5)
-    val top = ranks.orderBy(desc("rank")).limit(1).collect()(0).getDouble(1)
-    val med = ranks.agg(expr("percentile_approx(rank, 0.5)")).collect()(0).getDouble(0)
+    val top = ranks5.orderBy(desc("rank")).limit(1).collect()(0).getDouble(1)
+    val med = ranks5.agg(expr("percentile_approx(rank, 0.5)")).collect()(0).getDouble(0)
     assert(top > 5 * med)
-    ranks.unpersist(); ()
   }
 
   test("run leaves nothing cached") {
-    val ranks = PageRankW.run(edges, iters = 2)
-    assert(ranks.storageLevel == StorageLevel.NONE) // no CacheManager entry for `ranks`
+    assert(ranks2.storageLevel == StorageLevel.NONE) // no CacheManager entry for `ranks2`
   }
 
   test("run's plan has as many leaves at 6 iterations as at 2") {
-    def leaves(iters: Int) = PageRankW.run(edges, iters).queryExecution.logical.collectLeaves().size
-    assert(leaves(6) == leaves(2))
+    def leaves(ranks: DataFrame) = ranks.queryExecution.logical.collectLeaves().size
+    assert(leaves(PageRankW.run(edges, iters = 6)) == leaves(ranks2))
   }
 
   test("run's checkpointed ranks equal un-checkpointed steps") {
