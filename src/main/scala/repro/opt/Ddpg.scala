@@ -27,12 +27,27 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
 
   val actor = new Mlp(Array(stateDim, 64, 64, actionDim), outTanh = true, seed)
   val critic = new Mlp(Array(stateDim + actionDim, 64, 64, 1), outTanh = false, seed + 1)
-  private val actorT = new Mlp(Array(stateDim, 64, 64, actionDim), outTanh = true, seed + 2)
-  private val criticT = new Mlp(Array(stateDim + actionDim, 64, 64, 1), outTanh = false, seed + 3)
+  private[opt] val actorT = new Mlp(Array(stateDim, 64, 64, actionDim), outTanh = true, seed + 2)
+  private[opt] val criticT = new Mlp(Array(stateDim + actionDim, 64, 64, 1), outTanh = false, seed + 3)
   actorT.copyFrom(actor); criticT.copyFrom(critic)
 
   private case class Transition(s: Array[Double], a: Array[Double], r: Double, s2: Array[Double])
   private val replay = ArrayBuffer.empty[Transition]
+
+  private[opt] def remember(s: Array[Double], a: Array[Double], r: Double, s2: Array[Double]): Unit =
+    replay += Transition(s, a, r, s2)
+
+  // Training scratch, reused by every step. A minibatch draws at most
+  // `batch` distinct transitions; slot k holds the k-th one's replay index
+  // and its backpropagated Q(s, a) and μ(s) traces.
+  private val gradC = critic.grads()
+  private val gradA = actor.grads()
+  private val slotIndex = new Array[Int](batch)
+  private val qTraces = Array.fill(batch)(critic.trace())
+  private val muTraces = Array.fill(batch)(actor.trace())
+  private val targetMu = actorT.trace()
+  private val targetQ = criticT.trace()
+  private val qOfMu = critic.trace()
 
   /** Observation → normalized state vector. */
   def state(o: Observation): Array[Double] = {
@@ -56,38 +71,61 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
   }
 
   /** One actor-critic update over a replay minibatch (public so Table 10
-    * can time a single model-fitting step).
+    * can time a single model-fitting step). The weights only change after
+    * the minibatch, so a transition drawn twice is run and backpropagated
+    * once; its gradients are still added once per draw, in draw order.
     */
   def train(): Unit = {
     if (replay.size < 4) return
-    val (gwC, gbC) = critic.zeroGrads()
-    val (gwA, gbA) = actor.zeroGrads()
-    // The actor step needs only ∂Q/∂a; the critic's parameter gradients it
-    // also accumulates are never applied, so they go to one scratch set.
-    val (gwX, gbX) = critic.zeroGrads()
+    gradC.zero()
+    gradA.zero()
     val n = math.min(batch, replay.size)
+    var slots = 0
     var k = 0
     while (k < n) {
-      val tr = replay(rnd.nextInt(replay.size))
-      // Critic target: y = r + γ Q'(s', μ'(s'))
-      val a2 = actorT(tr.s2)
-      val q2 = criticT(tr.s2 ++ a2)(0)
-      val y = tr.r + gamma * q2
-      val ct = critic.forward(tr.s ++ tr.a)
-      val err = ct.output(0) - y
-      critic.backward(ct, Array(2.0 * err / n), gwC, gbC)
-
-      // Actor: ascend Q(s, μ(s)) — backprop −∂Q/∂a through the actor.
-      val at = actor.forward(tr.s)
-      val cQ = critic.forward(tr.s ++ at.output)
-      val gIn = critic.backward(cQ, Array(-1.0 / n), gwX, gbX)
-      actor.backward(at, gIn.drop(stateDim), gwA, gbA)
+      val idx = rnd.nextInt(replay.size)
+      var slot = 0
+      while (slot < slots && slotIndex(slot) != idx) slot += 1
+      if (slot == slots) {
+        slotIndex(slot) = idx
+        backprop(replay(idx), qTraces(slot), muTraces(slot), n)
+        slots += 1
+      }
+      critic.accumulate(qTraces(slot), gradC)
+      actor.accumulate(muTraces(slot), gradA)
       k += 1
     }
-    critic.adamStep(gwC, gbC, lr = 1e-2)
-    actor.adamStep(gwA, gbA, lr = 1e-3)
+    critic.adamStep(gradC, lr = 1e-2)
+    actor.adamStep(gradA, lr = 1e-3)
     actorT.softUpdateFrom(actor, tau)
     criticT.softUpdateFrom(critic, tau)
+  }
+
+  /** Runs one transition's passes on a minibatch of `n` draws: backprops
+    * the critic's squared TD error through `q` and −∂Q/∂a through `mu`.
+    */
+  private def backprop(tr: Transition, q: critic.Trace, mu: actor.Trace, n: Int): Unit = {
+    // Critic target: y = r + γ Q'(s', μ'(s'))
+    System.arraycopy(tr.s2, 0, targetMu.input, 0, stateDim)
+    stateAction(tr.s2, actorT.forward(targetMu), targetQ.input)
+    val y = tr.r + gamma * criticT.forward(targetQ)(0)
+    stateAction(tr.s, tr.a, q.input)
+    q.gradOut(0) = 2.0 * (critic.forward(q)(0) - y) / n
+    critic.backprop(q)
+
+    // Actor: ascend Q(s, μ(s)) — backprop −∂Q/∂a through the actor. Only
+    // the critic's input gradient is used, so its parameters get none.
+    System.arraycopy(tr.s, 0, mu.input, 0, stateDim)
+    stateAction(tr.s, actor.forward(mu), qOfMu.input)
+    critic.forward(qOfMu)
+    qOfMu.gradOut(0) = -1.0 / n
+    System.arraycopy(critic.backprop(qOfMu), stateDim, mu.gradOut, 0, actionDim)
+    actor.backprop(mu)
+  }
+
+  private def stateAction(s: Array[Double], a: Array[Double], into: Array[Double]): Unit = {
+    System.arraycopy(s, 0, into, 0, stateDim)
+    System.arraycopy(a, 0, into, stateDim, actionDim)
   }
 
   /** Starts from the framework default configuration (paper Table 4). */
@@ -104,7 +142,7 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
       val obs = env.evaluate(conf)
       val r = reward(r0, prev.objective, obs.objective)
       val s2 = state(obs)
-      replay += Transition(s, a, r, s2)
+      remember(s, a, r, s2)
       (1 to 4).foreach(_ => train())
       s = s2
       prev = obs

@@ -7,22 +7,31 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class MlpSpec extends AnyFunSuite {
 
+  /** A forward pass on `x` with `gradOut` backpropagated through it. */
+  private def backprop(net: Mlp, x: Array[Double], gradOut: Array[Double] => Array[Double]): net.Trace = {
+    val tr = net.trace()
+    x.copyToArray(tr.input)
+    net.forward(tr)
+    gradOut(tr.output).copyToArray(tr.gradOut)
+    net.backprop(tr)
+    tr
+  }
+
   test("parameter gradients agree with finite differences") {
     val net = new Mlp(Array(3, 5, 1), outTanh = false, seed = 1)
     val x = Array(0.3, -0.2, 0.8)
     def loss(): Double = { val o = net(x)(0); 0.5 * o * o }
 
-    val (gw, gb) = net.zeroGrads()
-    val tr = net.forward(x)
-    net.backward(tr, Array(tr.output(0)), gw, gb) // dL/do = o
+    val g = net.grads()
+    net.accumulate(backprop(net, x, o => Array(o(0))), g) // dL/do = o
     val eps = 1e-6
-    for (l <- net.w.indices; i <- net.w(l).indices; j <- net.w(l)(i).indices) {
-      val orig = net.w(l)(i)(j)
-      net.w(l)(i)(j) = orig + eps; val up = loss()
-      net.w(l)(i)(j) = orig - eps; val dn = loss()
-      net.w(l)(i)(j) = orig
+    for (l <- net.w.indices; k <- net.w(l).indices) {
+      val orig = net.w(l)(k)
+      net.w(l)(k) = orig + eps; val up = loss()
+      net.w(l)(k) = orig - eps; val dn = loss()
+      net.w(l)(k) = orig
       val num = (up - dn) / (2 * eps)
-      assert(math.abs(num - gw(l)(i)(j)) < 1e-5, s"w($l)($i)($j): $num vs ${gw(l)(i)(j)}")
+      assert(math.abs(num - g.w(l)(k)) < 1e-5, s"w($l)($k): $num vs ${g.w(l)(k)}")
     }
   }
 
@@ -30,9 +39,7 @@ class MlpSpec extends AnyFunSuite {
     val net = new Mlp(Array(2, 4, 1), outTanh = false, seed = 2)
     val x = Array(0.1, -0.5)
     def loss(p: Array[Double]): Double = { val o = net(p)(0); 0.5 * o * o }
-    val (gw, gb) = net.zeroGrads()
-    val tr = net.forward(x)
-    val gIn = net.backward(tr, Array(tr.output(0)), gw, gb)
+    val gIn = backprop(net, x, o => Array(o(0))).deltas(0)
     val eps = 1e-6
     for (i <- x.indices) {
       val up = loss(x.updated(i, x(i) + eps))
@@ -42,18 +49,33 @@ class MlpSpec extends AnyFunSuite {
     }
   }
 
+  test("accumulating one backpropagated trace twice equals two separate draws, bit for bit") {
+    val net = new Mlp(Array(3, 6, 6, 2), outTanh = true, seed = 10)
+    val x = Array(0.4, -0.7, 0.2)
+    val dL = (o: Array[Double]) => o.map(_ - 0.3)
+    val other = backprop(net, Array(-0.1, 0.5, 0.9), dL)
+    val (once, twice) = (net.grads(), net.grads())
+    for (g <- Seq(once, twice)) net.accumulate(other, g) // non-zero sums to add to
+    val tr = backprop(net, x, dL)
+    net.accumulate(tr, once); net.accumulate(tr, once)
+    net.accumulate(backprop(net, x, dL), twice); net.accumulate(backprop(net, x, dL), twice)
+    for (l <- net.w.indices) {
+      for (k <- net.w(l).indices) assert(once.w(l)(k) == twice.w(l)(k), s"w($l)($k)")
+      for (i <- net.b(l).indices) assert(once.b(l)(i) == twice.b(l)(i), s"b($l)($i)")
+    }
+  }
+
   test("Adam training fits a small regression target") {
     val net = new Mlp(Array(2, 16, 1), outTanh = false, seed = 3)
     val rnd = new scala.util.Random(4)
     val data = Array.fill(64)(Array(rnd.nextDouble() * 2 - 1, rnd.nextDouble() * 2 - 1))
     def target(p: Array[Double]) = 0.5 * p(0) - 0.3 * p(1)
+    val g = net.grads()
     for (_ <- 0 until 400) {
-      val (gw, gb) = net.zeroGrads()
-      for (p <- data) {
-        val tr = net.forward(p)
-        net.backward(tr, Array(2.0 * (tr.output(0) - target(p)) / data.length), gw, gb)
-      }
-      net.adamStep(gw, gb, 1e-2)
+      g.zero()
+      for (p <- data)
+        net.accumulate(backprop(net, p, o => Array(2.0 * (o(0) - target(p)) / data.length)), g)
+      net.adamStep(g, 1e-2)
     }
     val mse = data.map(p => math.pow(net(p)(0) - target(p), 2)).sum / data.length
     assert(mse < 1e-3, s"mse=$mse")
@@ -71,12 +93,12 @@ class MlpSpec extends AnyFunSuite {
   test("soft target update moves weights by tau toward the source") {
     val a = new Mlp(Array(2, 3, 1), outTanh = false, seed = 7)
     val b = new Mlp(Array(2, 3, 1), outTanh = false, seed = 8)
-    val before = b.w(0)(0)(0)
-    val src = a.w(0)(0)(0)
+    val before = b.w(0)(0)
+    val src = a.w(0)(0)
     b.softUpdateFrom(a, 0.1)
-    assert(math.abs(b.w(0)(0)(0) - (0.1 * src + 0.9 * before)) < 1e-12)
+    assert(math.abs(b.w(0)(0) - (0.1 * src + 0.9 * before)) < 1e-12)
     b.copyFrom(a)
-    assert(b.w(0)(0)(0) == a.w(0)(0)(0))
+    assert(b.w(0)(0) == a.w(0)(0))
   }
 
   test("parameter count matches the architecture") {
