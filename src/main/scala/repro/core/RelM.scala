@@ -78,10 +78,8 @@ object RelM {
   }
 
   /** End-to-end tuning from the default configuration's profile. */
-  def tune(app: AppModel, sim: Simulator, seed: Long = 0L,
-           startConf: Option[MemoryConf] = None): RelMResult = {
-    val start = startConf.getOrElse(MemoryConf.default(sim.hw))
-    val (st, runs) = gatherStats(app, sim, start, seed)
+  def tune(app: AppModel, sim: Simulator, seed: Long = 0L): RelMResult = {
+    val (st, runs) = gatherStats(app, sim, MemoryConf.default(sim.hw), seed)
     val cands = candidates(st, sim.hw)
     require(cands.nonEmpty, s"RelM: no safe candidate for ${app.name}")
     RelMResult(toConf(sim.hw, cands.maxBy(_.utility)), cands, runs)

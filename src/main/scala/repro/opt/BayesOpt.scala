@@ -45,134 +45,54 @@ final class BayesOpt(space: ConfigSpace, guide: Option[Stats] = None, seed: Long
     if (x >= 0) y else -y
   }
 
-  /** The surrogate of a history: a GP from features to objective (Eq 6). */
-  def fit(hist: Seq[Observation]): GaussianProcess = {
-    val gp = new GaussianProcess()
-    gp.fit(hist.map(o => features(o.conf)).toArray, hist.map(_.objective).toArray)
-    gp
-  }
-
   /** Every grid point's features, in `space.all` order. */
   private lazy val gridFeatures: Array[Array[Double]] = space.all.map(features).toArray
 
-  /** A session's surrogate together with its EI sweep state over the grid.
-    * Each observed point appends one GP factor row and one entry to every
-    * grid point's cross-covariance k* and forward-solve vector v, so a
-    * sweep over m points with n observations costs O(m·n). Its posterior
-    * at every point equals, bit for bit, `GaussianProcess.predict` of a GP
-    * fitted to the same observations.
+  /** The surrogate of a history: a GP from features to objective (Eq 6)
+    * that keeps its posterior over the candidate grid.
     */
-  final class Session {
-    private val gp = new GaussianProcess()
-    private val grid = space.all
-    private val m = grid.size
-    private val probed = new Array[Boolean](m)
-    /** Row i: k(x_i, ·) over the grid. */
-    private var kStar: Array[Array[Double]] = Array.empty
-    /** Row i: entry i of every grid point's forward solve L v = k*. */
-    private var v: Array[Array[Double]] = Array.empty
-    /** Σ v², accumulated in row order as `LinAlg.dot(v, v)` sums it. */
-    private val vv = new Array[Double](m)
-    private val prior = gridFeatures.map(f => gp.kernel(f, f))
-    /** The last sweep's posterior mean and standard deviation per point. */
-    private[opt] val mean = new Array[Double](m)
-    private[opt] val sd = new Array[Double](m)
-
-    def size: Int = gp.size
-
-    def observe(o: Observation): Unit = {
-      val i = grid.indexOf(o.conf)
-      val x = if (i >= 0) gridFeatures(i) else features(o.conf)
-      if (i >= 0) probed(i) = true
-      gp.add(x, o.objective)
-      kStar = kStar :+ gridFeatures.map(gp.kernel(x, _))
-      v = v :+ new Array[Double](m)
-      val from = gp.factorChangedFrom
-      if (from == 0) java.util.Arrays.fill(vv, 0.0)
-      (from until size).foreach(solveRow)
-    }
-
-    /** Row r of every grid point's v, subtracting in `forwardSolve`'s order. */
-    private def solveRow(r: Int): Unit = {
-      val l = gp.factorRow(r)
-      val vr = v(r)
-      System.arraycopy(kStar(r), 0, vr, 0, m)
-      var j = 0
-      while (j < r) {
-        val lj = l(j)
-        val vj = v(j)
-        var c = 0
-        while (c < m) { vr(c) -= lj * vj(c); c += 1 }
-        j += 1
-      }
-      val d = l(r)
-      var c = 0
-      while (c < m) { vr(c) /= d; vv(c) += vr(c) * vr(c); c += 1 }
-    }
-
-    /** Fills [[mean]] and [[sd]] at every grid point. */
-    private[opt] def posterior(): Unit = {
-      java.util.Arrays.fill(mean, 0.0)
-      val alpha = gp.weights
-      var i = 0
-      while (i < size) {
-        val a = alpha(i)
-        val ki = kStar(i)
-        var c = 0
-        while (c < m) { mean(c) += ki(c) * a; c += 1 }
-        i += 1
-      }
-      val yMean = gp.targetMean
-      val yStd = gp.targetStd
-      var c = 0
-      while (c < m) {
-        mean(c) = mean(c) * yStd + yMean
-        sd(c) = math.sqrt(math.max(0.0, prior(c) - vv(c))) * yStd
-        c += 1
-      }
-    }
-
-    /** The next probe: the EI argmax (first maximum in grid order) over the
-      * unprobed grid points, with its EI; None once every point is probed.
-      */
-    def propose(tau: Double): Option[(MemoryConf, Double)] = {
-      posterior()
-      var best = -1
-      var bestEi = 0.0
-      var c = 0
-      while (c < m) {
-        if (!probed(c)) {
-          val ei = expectedImprovement(mean(c), sd(c), tau)
-          // Double.compare is the total order `maxBy` uses on Doubles.
-          if (best < 0 || java.lang.Double.compare(ei, bestEi) > 0) { best = c; bestEi = ei }
-        }
-        c += 1
-      }
-      if (best < 0) None else Some((grid(best), bestEi))
-    }
+  def surrogate(hist: Seq[Observation]): GaussianProcess = {
+    val gp = new GaussianProcess(gridFeatures)
+    hist.foreach(observe(gp, _))
+    gp
   }
 
-  /** A session that has observed `hist`, in order. */
-  def session(hist: Seq[Observation]): Session = {
-    val s = new Session
-    hist.foreach(s.observe)
-    s
+  /** Adds `o` to `gp`, marking its grid point as probed. */
+  def observe(gp: GaussianProcess, o: Observation): Unit = {
+    val i = space.all.indexOf(o.conf)
+    if (i >= 0) gp.addCandidate(i, o.objective) else gp.add(features(o.conf), o.objective)
   }
 
-  /** The next probe after `hist`: see [[Session.propose]]. */
-  def propose(hist: Seq[Observation]): Option[(MemoryConf, Double)] =
-    session(hist).propose(incumbent(hist))
+  /** The next probe: the EI argmax (first maximum in grid order) over the
+    * unprobed grid points, with its EI; None once every point is probed.
+    */
+  def propose(gp: GaussianProcess, tau: Double): Option[(MemoryConf, Double)] = {
+    gp.posterior()
+    val (observed, mean, sd) = (gp.observed, gp.mean, gp.sd)
+    var best = -1
+    var bestEi = 0.0
+    var c = 0
+    while (c < observed.length) {
+      if (!observed(c)) {
+        val ei = expectedImprovement(mean(c), sd(c), tau)
+        // Double.compare is the total order `maxBy` uses on Doubles.
+        if (best < 0 || java.lang.Double.compare(ei, bestEi) > 0) { best = c; bestEi = ei }
+      }
+      c += 1
+    }
+    if (best < 0) None else Some((space.all(best), bestEi))
+  }
 
   def tune(env: TuningEnv): TuningTrace = {
     space.lhs(initSamples, seed).foreach(env.evaluate)
 
-    val s = new Session
+    val gp = surrogate(Nil)
     var adaptive = 0
     var continue = true
     while (continue && adaptive < maxAdaptive) {
       val hist = env.history
-      hist.drop(s.size).foreach(s.observe)
-      s.propose(incumbent(hist)) match {
+      hist.drop(gp.size).foreach(observe(gp, _))
+      propose(gp, incumbent(hist)) match {
         case None => continue = false
         case Some((conf, ei)) =>
           env.evaluate(conf)

@@ -10,13 +10,20 @@ import repro.linalg.LinAlg
   *
   * The model grows: [[add]] appends one observation, one row of the kernel
   * matrix and one row of its Cholesky factor, then re-solves α. [[fit]]
-  * replaces the data and factors every row at once.
+  * resets the model and adds each row in turn.
+  *
+  * It also keeps the posterior over a fixed set of `candidates` (BO's grid):
+  * each added observation appends one entry to every candidate's
+  * cross-covariance k* and forward-solve vector v, so [[posterior]] over m
+  * candidates with n observations costs O(m·n). Its mean and standard
+  * deviation at every candidate equal [[predict]]'s bit for bit.
   */
-final class GaussianProcess {
+final class GaussianProcess(candidates: Array[Array[Double]] = Array.empty) {
 
   private val lengthScale = 0.35
   private val signalVar = 1.0
   private val noiseVar = 1e-3
+  private val m = candidates.length
 
   private var xs: Array[Array[Double]] = Array.empty
   private var ys: Array[Double] = Array.empty
@@ -24,11 +31,24 @@ final class GaussianProcess {
   private var kRows: Array[Array[Double]] = Array.empty
   /** Row i holds L(i)(0..i). */
   private var chol: Array[Array[Double]] = Array.empty
-  private var jitter = 0.0
-  private var changedFrom = 0
   private var alpha: Array[Double] = Array.empty
   private var yMean = 0.0
   private var yStd = 1.0
+
+  /** Row i: k(x_i, ·) over the candidates. */
+  private var kStar: Array[Array[Double]] = Array.empty
+  /** Row i: entry i of every candidate's forward solve L v = k*. */
+  private var v: Array[Array[Double]] = Array.empty
+  /** Σ v², accumulated in row order as `LinAlg.dot(v, v)` sums it. */
+  private val vv = new Array[Double](m)
+  private val prior = candidates.map(c => kernel(c, c))
+  /** Which candidates [[addCandidate]] has added since the last [[fit]]. */
+  val observed = new Array[Boolean](m)
+  /** The posterior mean and standard deviation per candidate, as the last
+    * [[posterior]] call left them.
+    */
+  val mean = new Array[Double](m)
+  val sd = new Array[Double](m)
 
   def kernel(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0
@@ -37,48 +57,87 @@ final class GaussianProcess {
     signalVar * math.exp(-(s / a.length) / (2.0 * lengthScale * lengthScale))
   }
 
+  /** Replaces the data with `x` and `y`, and clears [[observed]]. */
   def fit(x: Array[Array[Double]], y: Array[Double]): Unit = {
     require(x.length == y.length && x.nonEmpty)
-    xs = x.clone()
-    ys = y.clone()
-    kRows = Array.tabulate(x.length)(kernelRow)
-    chol = Array.tabulate(x.length)(i => new Array[Double](i + 1))
-    factor(0)
+    xs = Array.empty
+    ys = Array.empty
+    kRows = Array.empty
+    chol = Array.empty
+    kStar = Array.empty
+    v = Array.empty
+    java.util.Arrays.fill(vv, 0.0)
+    java.util.Arrays.fill(observed, false)
+    x.indices.foreach(i => add(x(i), y(i)))
   }
 
-  /** Adds one observation. While no pivot has needed jitter this costs one
-    * new factor row; after that, every add refactors from row 0.
+  /** Adds one observation: one new factor row, and one k* and v entry per
+    * candidate. The 1e-3 noise on the diagonal of a PSD kernel matrix keeps
+    * every pivot at least 1e-3 above zero, so the factor never needs jitter.
     */
   def add(x: Array[Double], y: Double): Unit = {
     xs = xs :+ x
     ys = ys :+ y
     kRows = kRows :+ kernelRow(size - 1)
     chol = chol :+ new Array[Double](size)
-    factor(if (jitter == 0.0) size - 1 else 0)
+    val jitter = LinAlg.choleskyFrom(kRows, chol, size - 1)
+    require(jitter == 0.0, s"GaussianProcess: kernel matrix needed jitter $jitter")
+    yMean = ys.sum / ys.length
+    yStd = math.max(1e-9, math.sqrt(ys.map(v => (v - yMean) * (v - yMean)).sum / ys.length))
+    alpha = LinAlg.choleskySolve(chol, ys.map(v => (v - yMean) / yStd))
+    kStar = kStar :+ candidates.map(kernel(x, _))
+    v = v :+ new Array[Double](m)
+    solveRow(size - 1)
+  }
+
+  /** Adds candidate `i`, observed at `y`, and marks it [[observed]]. */
+  def addCandidate(i: Int, y: Double): Unit = {
+    observed(i) = true
+    add(candidates(i), y)
   }
 
   /** K(i)(0..i): the kernel against every earlier point, noise on the diagonal. */
   private def kernelRow(i: Int): Array[Double] =
     Array.tabulate(i + 1)(j => if (j < i) kernel(xs(i), xs(j)) else kernel(xs(i), xs(i)) + noiseVar)
 
-  private def factor(from: Int): Unit = {
-    jitter = LinAlg.choleskyFrom(kRows, chol, from)
-    changedFrom = if (jitter == 0.0) from else 0
-    yMean = ys.sum / ys.length
-    yStd = math.max(1e-9, math.sqrt(ys.map(v => (v - yMean) * (v - yMean)).sum / ys.length))
-    alpha = LinAlg.choleskySolve(chol, ys.map(v => (v - yMean) / yStd))
+  /** Row r of every candidate's v, subtracting in `forwardSolve`'s order. */
+  private def solveRow(r: Int): Unit = {
+    val l = chol(r)
+    val vr = v(r)
+    System.arraycopy(kStar(r), 0, vr, 0, m)
+    var j = 0
+    while (j < r) {
+      val lj = l(j)
+      val vj = v(j)
+      var c = 0
+      while (c < m) { vr(c) -= lj * vj(c); c += 1 }
+      j += 1
+    }
+    val d = l(r)
+    var c = 0
+    while (c < m) { vr(c) /= d; vv(c) += vr(c) * vr(c); c += 1 }
   }
 
   def size: Int = xs.length
 
-  /** The first factor row the last [[fit]] or [[add]] wrote: `size - 1`
-    * after an append, 0 after a full factorization.
-    */
-  private[opt] def factorChangedFrom: Int = changedFrom
-  private[opt] def factorRow(i: Int): Array[Double] = chol(i)
-  private[opt] def weights: Array[Double] = alpha
-  private[opt] def targetMean: Double = yMean
-  private[opt] def targetStd: Double = yStd
+  /** Fills [[mean]] and [[sd]] at every candidate (Eq 6). */
+  def posterior(): Unit = {
+    java.util.Arrays.fill(mean, 0.0)
+    var i = 0
+    while (i < size) {
+      val a = alpha(i)
+      val ki = kStar(i)
+      var c = 0
+      while (c < m) { mean(c) += ki(c) * a; c += 1 }
+      i += 1
+    }
+    var c = 0
+    while (c < m) {
+      mean(c) = mean(c) * yStd + yMean
+      sd(c) = math.sqrt(math.max(0.0, prior(c) - vv(c))) * yStd
+      c += 1
+    }
+  }
 
   /** Posterior mean and standard deviation at a point (Eq 6). */
   def predict(x: Array[Double]): (Double, Double) = {

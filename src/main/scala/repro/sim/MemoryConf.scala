@@ -9,6 +9,12 @@ package repro.sim
   * @param shuffleCap        Shuffle Capacity as a fraction of heap
   * @param newRatio          ParallelGC NewRatio = Old/Young capacity ratio
   * @param survivorRatio     ParallelGC SurvivorRatio (paper keeps default 8)
+  *
+  * No tuner varies `survivorRatio`, but the field stays: the case class's
+  * `hashCode` seeds the runtime jitter in `Simulator.run`
+  * (`gauss(seed ^ app.name.hashCode ^ conf.hashCode)`), so adding, removing,
+  * renaming or reordering a field would move every simulated runtime, and
+  * with them Tables 4–9 and every recorded tuning result.
   */
 final case class MemoryConf(
     containersPerNode: Int,
@@ -54,9 +60,8 @@ object MemoryConf {
     heapMb / (newRatio + 1) * (survivorRatio - 2) / survivorRatio
 
   /** Build a configuration for `n` containers per node on `hw`. */
-  def of(hw: Hardware, n: Int, p: Int, cacheCap: Double, shuffleCap: Double,
-         newRatio: Int, survivorRatio: Int = defaultSurvivorRatio): MemoryConf =
-    MemoryConf(n, hw.heapMb(n), p, cacheCap, shuffleCap, newRatio, survivorRatio)
+  def of(hw: Hardware, n: Int, p: Int, cacheCap: Double, shuffleCap: Double, newRatio: Int): MemoryConf =
+    MemoryConf(n, hw.heapMb(n), p, cacheCap, shuffleCap, newRatio)
 
   /** Amazon EMR MaxResourceAllocation + framework defaults (paper Table 4):
     * one fat container per node, all heap, Task Concurrency 2, unified

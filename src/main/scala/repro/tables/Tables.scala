@@ -220,25 +220,29 @@ object Tables {
   final case class OverheadRow(policy: String, statsCollectMs: Double,
                                fitMs: Double, probeMs: Double, modelSizeBytes: Long)
 
-  private def timeMs[T](body: => T): (T, Double) = timeMsAfter(())(_ => body)
+  /** A cell of Table 10: an untimed setup that returns the body to time. */
+  private type Cell = () => () => Any
 
-  /** Best-of-5 wall time of `body` in ms, each run on a fresh `setup` that
-    * is not timed. Table 10 compares steady-state costs, so `body` first
-    * runs for 50 ms of warm-up: a body of a few microseconds, like RelM's,
-    * needs thousands of runs before the JIT compiles it.
+  private def cell(body: => Any): Cell = () => () => body
+
+  /** Each cell's best-of-5 wall time in ms. Table 10 compares steady-state
+    * costs, so every cell first runs for 50 ms of warm-up (a body of a few
+    * microseconds, like RelM's, needs thousands of runs before the JIT
+    * compiles it), and all are warmed before any is timed: the JIT compiles
+    * in the background, so a cell timed right after its own warm-up may
+    * still run code that is yet to be compiled.
     */
-  private def timeMsAfter[S, T](setup: => S)(body: S => T): (T, Double) = {
-    val warm = System.nanoTime() + 50000000L
-    var r = body(setup)
-    while (System.nanoTime() < warm) r = body(setup)
-    var best = Double.MaxValue
-    for (_ <- 1 to 5) {
-      val s = setup
-      val t0 = System.nanoTime()
-      r = body(s)
-      best = math.min(best, (System.nanoTime() - t0) / 1e6)
+  private def timeCells(cells: Seq[Cell]): Seq[Double] = {
+    for (c <- cells) {
+      val end = System.nanoTime() + 50000000L
+      do c()() while (System.nanoTime() < end)
     }
-    (r, best)
+    cells.map(c => (1 to 5).map { _ =>
+      val body = c()
+      val t0 = System.nanoTime()
+      body()
+      (System.nanoTime() - t0) / 1e6
+    }.min)
   }
 
   /** Measure one iteration's overhead components per policy (paper Table 10):
@@ -254,41 +258,42 @@ object Tables {
     samples.foreach(env.evaluate)
     val hist = env.history
     val run = hist.head.result
+    val stats = StatsGenerator.fromProfile(run.profile)
+    val tau = hist.map(_.objective).min
 
-    val (stats, statsMs) = timeMs(StatsGenerator.fromProfile(run.profile))
-    val (_, qMs) = timeMs(QModel.derive(stats, run.conf))
-
-    // BO/GBO: what `BayesOpt.tune` runs per iteration on a session that
+    // BO/GBO: what `BayesOpt.tune` runs per iteration on a surrogate that
     // already holds the first nine observations: adding the newest one (one
     // GP factor row, plus one k* and v entry per grid point) + the EI sweep
     // over the unseen grid; the model stores the training features and
     // objectives.
-    def gpRow(policy: String, b: BayesOpt, statsCollectMs: Double): OverheadRow = {
-      val (session, fitMs) = timeMsAfter(b.session(hist.init)) { s => s.observe(hist.last); s }
-      val (_, probeMs) = timeMs(session.propose(hist.map(_.objective).min))
-      OverheadRow(policy, statsCollectMs, fitMs, probeMs,
-        modelSizeBytes = 8L * hist.size * (b.features(hist.head.conf).length + 1))
+    val bo = new BayesOpt(space, guide = None, seed = 0L)
+    val gbo = new BayesOpt(space, guide = Some(stats), seed = 0L)
+    def gpCells(b: BayesOpt): Seq[Cell] = {
+      val gp = b.surrogate(hist)
+      Seq(() => { val nine = b.surrogate(hist.init); () => b.observe(nine, hist.last) }, cell(b.propose(gp, tau)))
     }
-    val bo = gpRow("BO", new BayesOpt(space, guide = None, seed = 0L), statsCollectMs = 0.0)
-    val gbo = gpRow("GBO", new BayesOpt(space, guide = Some(stats), seed = 0L),
-      statsCollectMs = statsMs + qMs)
+    def modelSize(b: BayesOpt): Long = 8L * hist.size * (b.features(hist.head.conf).length + 1)
 
     // DDPG: one replay-batch actor-critic update (fit) + one action (probe).
     val ddpg = new Ddpg(space, seed = 0L)
     ddpg.tune(new TuningEnv(app, sim, 1L)) // populate the replay buffer
-    val (_, ddpgFit) = timeMs(ddpg.train())
     val s0 = ddpg.state(hist.head)
-    val (_, ddpgProbe) = timeMs(ddpg.actor(s0))
 
     // RelM: one analytical evaluation (fit) + candidate ranking (probe).
-    val (cands, relmFit) = timeMs(RelM.candidates(stats, hw))
-    val (_, relmProbe) = timeMs(cands.maxBy(_.utility))
+    val cands = RelM.candidates(stats, hw)
+
+    val Seq(statsMs, qMs, boFit, boProbe, gboFit, gboProbe, ddpgFit, ddpgProbe, relmFit, relmProbe) =
+      timeCells(Seq(cell(StatsGenerator.fromProfile(run.profile)), cell(QModel.derive(stats, run.conf))) ++
+        gpCells(bo) ++ gpCells(gbo) ++
+        Seq(cell(ddpg.train()), cell(ddpg.actor(s0)), cell(RelM.candidates(stats, hw)), cell(cands.maxBy(_.utility))))
 
     Seq(
       OverheadRow("DDPG", statsCollectMs = statsMs + qMs, fitMs = ddpgFit,
         probeMs = ddpgProbe, modelSizeBytes = ddpg.modelSizeBytes),
-      bo,
-      gbo,
+      OverheadRow("BO", statsCollectMs = 0.0, fitMs = boFit, probeMs = boProbe,
+        modelSizeBytes = modelSize(bo)),
+      OverheadRow("GBO", statsCollectMs = statsMs + qMs, fitMs = gboFit, probeMs = gboProbe,
+        modelSizeBytes = modelSize(gbo)),
       OverheadRow("RelM", statsCollectMs = statsMs, fitMs = relmFit,
         probeMs = relmProbe, modelSizeBytes = 0L),
     )

@@ -1,7 +1,8 @@
 package repro.workloads
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.DecimalType
 import repro.SynthData
 
 /** TPC-H-lite query suite (paper Table 2 "SQL" class / Fig 21) over the
@@ -9,11 +10,14 @@ import repro.SynthData
   *
   * Each query returns the Spark DataFrame and the DuckDB SQL that must
   * produce identical rows (the SynthData tables are registered as VARCHAR in
-  * DuckDB, hence the CASTs). Money sums are rounded to whole units:
-  * the different summation orders of the two engines drift at ~1e-1 absolute
-  * on these magnitudes, far below the rounding step.
+  * DuckDB, hence the CASTs). Money is summed as DECIMAL(12,2), TPC-H's type
+  * for these columns, so every money sum is exact: a double sum depends on
+  * the order its terms are added in, which differs between the engines and
+  * with the partitioning.
   */
 object TpchQueries {
+
+  private def money(c: String): Column = col(c).cast(DecimalType(12, 2))
 
   /** The four tables at scale `sf`. Seed 0 gives each generator its default
     * seed; another seed shifts all four, giving other rows of the same sizes.
@@ -36,14 +40,14 @@ object TpchQueries {
       .groupBy("l_returnflag", "l_linestatus")
       .agg(
         round(sum("l_quantity"), 0) as "sum_qty",
-        round(sum("l_extendedprice"), 0) as "sum_base_price",
-        round(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))), 0) as "sum_disc_price",
+        sum(money("l_extendedprice")) as "sum_base_price",
+        sum(money("l_extendedprice") * (lit(1) - money("l_discount"))) as "sum_disc_price",
         round(avg("l_quantity"), 4) as "avg_qty",
         count(lit(1)) as "count_order"),
     """SELECT l_returnflag, l_linestatus,
       |  ROUND(SUM(CAST(l_quantity AS DOUBLE)), 0) AS sum_qty,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE)), 0) AS sum_base_price,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE))), 0) AS sum_disc_price,
+      |  SUM(CAST(l_extendedprice AS DECIMAL(12,2))) AS sum_base_price,
+      |  SUM(CAST(l_extendedprice AS DECIMAL(12,2)) * (1 - CAST(l_discount AS DECIMAL(12,2)))) AS sum_disc_price,
       |  ROUND(AVG(CAST(l_quantity AS DOUBLE)), 4) AS avg_qty,
       |  COUNT(*) AS count_order
       |FROM lineitem WHERE l_shipdate <= '1998-09-01'
@@ -58,10 +62,10 @@ object TpchQueries {
       .join(t.lineitem, col("o_orderkey") === col("l_orderkey"))
       .where(col("o_orderdate") < lit("1995-03-15") && col("l_shipdate") > lit("1995-03-15"))
       .groupBy("c_mktsegment")
-      .agg(round(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))), 0) as "revenue",
+      .agg(sum(money("l_extendedprice") * (lit(1) - money("l_discount"))) as "revenue",
            count(lit(1)) as "cnt"),
     """SELECT c_mktsegment,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE))), 0) AS revenue,
+      |  SUM(CAST(l_extendedprice AS DECIMAL(12,2)) * (1 - CAST(l_discount AS DECIMAL(12,2)))) AS revenue,
       |  COUNT(*) AS cnt
       |FROM customer JOIN orders ON c_custkey = o_custkey
       |              JOIN lineitem ON o_orderkey = l_orderkey
@@ -77,9 +81,9 @@ object TpchQueries {
       .join(t.lineitem, col("o_orderkey") === col("l_orderkey"))
       .where(col("o_orderdate") >= lit("1994-01-01") && col("o_orderdate") < lit("1995-01-01"))
       .groupBy("c_nationkey")
-      .agg(round(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))), 0) as "revenue"),
+      .agg(sum(money("l_extendedprice") * (lit(1) - money("l_discount"))) as "revenue"),
     """SELECT c_nationkey,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE))), 0) AS revenue
+      |  SUM(CAST(l_extendedprice AS DECIMAL(12,2)) * (1 - CAST(l_discount AS DECIMAL(12,2)))) AS revenue
       |FROM customer JOIN orders ON c_custkey = o_custkey
       |              JOIN lineitem ON o_orderkey = l_orderkey
       |WHERE o_orderdate >= '1994-01-01' AND o_orderdate < '1995-01-01'
@@ -92,8 +96,8 @@ object TpchQueries {
     t.lineitem
       .where(col("l_shipdate") >= lit("1994-01-01") && col("l_shipdate") < lit("1995-01-01") &&
         col("l_discount").between(0.05, 0.07) && col("l_quantity") < 24)
-      .agg(round(sum(col("l_extendedprice") * col("l_discount")), 0) as "revenue"),
-    """SELECT ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * CAST(l_discount AS DOUBLE)), 0) AS revenue
+      .agg(sum(money("l_extendedprice") * money("l_discount")) as "revenue"),
+    """SELECT SUM(CAST(l_extendedprice AS DECIMAL(12,2)) * CAST(l_discount AS DECIMAL(12,2))) AS revenue
       |FROM lineitem
       |WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'
       |  AND CAST(l_discount AS DOUBLE) BETWEEN 0.05 AND 0.07
@@ -120,9 +124,9 @@ object TpchQueries {
     t.lineitem
       .join(t.part, col("l_partkey") === col("p_partkey"))
       .groupBy("p_type")
-      .agg(round(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))), 0) as "revenue"),
+      .agg(sum(money("l_extendedprice") * (lit(1) - money("l_discount"))) as "revenue"),
     """SELECT p_type,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE))), 0) AS revenue
+      |  SUM(CAST(l_extendedprice AS DECIMAL(12,2)) * (1 - CAST(l_discount AS DECIMAL(12,2)))) AS revenue
       |FROM lineitem JOIN part ON l_partkey = p_partkey
       |GROUP BY p_type""".stripMargin,
     Seq("lineitem", "part"))

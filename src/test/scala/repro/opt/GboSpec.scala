@@ -46,7 +46,7 @@ class GboSpec extends AnyFunSuite {
         .map(valEnv.evaluate).filterNot(_.result.aborted)
 
       def r2Of(b: BayesOpt): Double =
-        b.fit(hist).r2(valObs.map(o => b.features(o.conf)).toArray, valObs.map(_.objective).toArray)
+        b.surrogate(hist).r2(valObs.map(o => b.features(o.conf)).toArray, valObs.map(_.objective).toArray)
       boR2 += r2Of(bo); gboR2 += r2Of(gbo)
     }
     assert(gboR2 > boR2, s"gbo=$gboR2 bo=$boR2")

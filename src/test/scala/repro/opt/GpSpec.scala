@@ -91,4 +91,25 @@ class GpSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("the posterior over the candidates equals predict after adds, after a fit that resets it, and after more adds") {
+    val rnd = new scala.util.Random(11)
+    val cands = Array.fill(40)(Array.fill(3)(rnd.nextDouble()))
+    val gp = new GaussianProcess(cands)
+    def check(state: String): Unit = {
+      gp.posterior()
+      for (c <- cands.indices) assert(gp.predict(cands(c)) == ((gp.mean(c), gp.sd(c))), s"$state, candidate $c")
+    }
+    Seq(3, 17, 25, 8).foreach(gp.addCandidate(_, rnd.nextGaussian()))
+    gp.add(Array.fill(3)(rnd.nextDouble()), rnd.nextGaussian())
+    assert(gp.observed.count(identity) == 4 && Seq(3, 17, 25, 8).forall(gp.observed(_)))
+    check("after 5 adds")
+    val x = Array.fill(6)(Array.fill(3)(rnd.nextDouble()))
+    gp.fit(x, x.map(_.sum))
+    assert(gp.size == 6 && !gp.observed.contains(true))
+    check("after fit")
+    Seq(0, 39).foreach(gp.addCandidate(_, rnd.nextGaussian()))
+    assert(gp.size == 8 && gp.observed.count(identity) == 2 && gp.observed(0) && gp.observed(39))
+    check("after 2 more adds")
+  }
 }

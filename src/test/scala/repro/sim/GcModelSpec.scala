@@ -8,9 +8,8 @@ import org.scalatest.funsuite.AnyFunSuite
 class GcModelSpec extends AnyFunSuite {
 
   private val hw = Hardware.ClusterA
-  private def conf(n: Int = 1, p: Int = 2, cache: Double = 0.6, shuffle: Double = 0.0,
-                   nr: Int = 2, sr: Int = 8) =
-    MemoryConf.of(hw, n, p, cache, shuffle, nr, sr)
+  private def conf(n: Int = 1, p: Int = 2, cache: Double = 0.6, shuffle: Double = 0.0, nr: Int = 2) =
+    MemoryConf.of(hw, n, p, cache, shuffle, nr)
 
   // Pool formulas hold for every NewRatio (registration loop).
   for (nr <- 1 to 9) {
