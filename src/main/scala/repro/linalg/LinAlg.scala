@@ -7,41 +7,21 @@ package repro.linalg
 object LinAlg {
 
   /** Cholesky factor L (lower-triangular, row-major) of a symmetric
-    * positive-definite matrix A (n×n, row-major). Jitters the diagonal if A
-    * is borderline.
+    * positive-definite matrix A (n×n, row-major), appended row by row.
     */
   def cholesky(a: Array[Array[Double]]): Array[Array[Double]] = {
     val l = Array.ofDim[Double](a.length, a.length)
-    choleskyFrom(a, l, 0)
+    var i = 0
+    while (i < a.length) { choleskyRow(a(i), l, i); i += 1 }
     l
   }
 
-  /** Extends a Cholesky factor one row at a time: fills rows `from` until
-    * `a.length` of L, whose rows before `from` already hold the jitter-free
-    * factor of A's leading block. Only entries on or below the diagonal of
-    * A and L are read or written, so both may hold just those. If a pivot
-    * is not positive, the diagonal is jittered (1e-10, then ×10) and the
-    * whole factor is rebuilt from row 0. Returns the jitter used, 0 when
-    * none was needed.
+  /** Fills row i of L from row i of A and rows 0 until i of L, which
+    * already hold the factor of A's leading block. Only entries on or below
+    * the diagonal are read or written, so rows may hold just those. Fails
+    * when the pivot is not positive, i.e. A is not positive-definite.
     */
-  def choleskyFrom(a: Array[Array[Double]], l: Array[Array[Double]], from: Int): Double = {
-    var jitter = 0.0
-    var i = from
-    while (i < a.length) {
-      if (choleskyRow(a(i), l, i, jitter)) i += 1
-      else {
-        jitter = if (jitter == 0) 1e-10 else jitter * 10
-        require(jitter < 1e-2, "cholesky: matrix far from PD")
-        i = 0
-      }
-    }
-    jitter
-  }
-
-  /** Row i of L from row i of A and rows 0 until i of L; false when the
-    * pivot is not positive.
-    */
-  private def choleskyRow(ai: Array[Double], l: Array[Array[Double]], i: Int, jitter: Double): Boolean = {
+  def choleskyRow(ai: Array[Double], l: Array[Array[Double]], i: Int): Unit = {
     val li = l(i)
     var j = 0
     while (j <= i) {
@@ -51,13 +31,12 @@ object LinAlg {
       while (k < j) { s += li(k) * lj(k); k += 1 }
       if (j < i) li(j) = (ai(j) - s) / lj(j)
       else {
-        val d = ai(i) + jitter - s
-        if (d <= 0) return false
+        val d = ai(i) - s
+        require(d > 0, s"cholesky: pivot $d of row $i is not positive")
         li(i) = math.sqrt(d)
       }
       j += 1
     }
-    true
   }
 
   /** Solve L y = b (forward substitution). */

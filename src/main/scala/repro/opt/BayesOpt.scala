@@ -60,7 +60,8 @@ final class BayesOpt(space: ConfigSpace, guide: Option[Stats] = None, seed: Long
   /** Adds `o` to `gp`, marking its grid point as probed. */
   def observe(gp: GaussianProcess, o: Observation): Unit = {
     val i = space.all.indexOf(o.conf)
-    if (i >= 0) gp.addCandidate(i, o.objective) else gp.add(features(o.conf), o.objective)
+    require(i >= 0, s"BayesOpt: ${o.conf} is not on the candidate grid")
+    gp.addCandidate(i, o.objective)
   }
 
   /** The next probe: the EI argmax (first maximum in grid order) over the

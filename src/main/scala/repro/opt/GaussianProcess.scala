@@ -8,9 +8,9 @@ import repro.linalg.LinAlg
   * constant observation noise. Targets are standardized internally so
   * runtime magnitudes don't leak into kernel hyperparameters.
   *
-  * The model grows: [[add]] appends one observation, one row of the kernel
-  * matrix and one row of its Cholesky factor, then re-solves α. [[fit]]
-  * resets the model and adds each row in turn.
+  * The model only grows: [[add]] appends one observation and one row of
+  * the kernel matrix's Cholesky factor, then re-solves α. [[fit]] adds rows
+  * one at a time to a model that holds none yet.
   *
   * It also keeps the posterior over a fixed set of `candidates` (BO's grid):
   * each added observation appends one entry to every candidate's
@@ -27,8 +27,6 @@ final class GaussianProcess(candidates: Array[Array[Double]] = Array.empty) {
 
   private var xs: Array[Array[Double]] = Array.empty
   private var ys: Array[Double] = Array.empty
-  /** Row i holds K(i)(0..i), the noise on the diagonal. */
-  private var kRows: Array[Array[Double]] = Array.empty
   /** Row i holds L(i)(0..i). */
   private var chol: Array[Array[Double]] = Array.empty
   private var alpha: Array[Double] = Array.empty
@@ -42,7 +40,7 @@ final class GaussianProcess(candidates: Array[Array[Double]] = Array.empty) {
   /** Σ v², accumulated in row order as `LinAlg.dot(v, v)` sums it. */
   private val vv = new Array[Double](m)
   private val prior = candidates.map(c => kernel(c, c))
-  /** Which candidates [[addCandidate]] has added since the last [[fit]]. */
+  /** Which candidates [[addCandidate]] has added. */
   val observed = new Array[Boolean](m)
   /** The posterior mean and standard deviation per candidate, as the last
     * [[posterior]] call left them.
@@ -57,31 +55,22 @@ final class GaussianProcess(candidates: Array[Array[Double]] = Array.empty) {
     signalVar * math.exp(-(s / a.length) / (2.0 * lengthScale * lengthScale))
   }
 
-  /** Replaces the data with `x` and `y`, and clears [[observed]]. */
+  /** Adds the rows of `x` and `y` to a model that holds no data yet. */
   def fit(x: Array[Array[Double]], y: Array[Double]): Unit = {
+    require(size == 0, "GaussianProcess.fit: the model already holds data")
     require(x.length == y.length && x.nonEmpty)
-    xs = Array.empty
-    ys = Array.empty
-    kRows = Array.empty
-    chol = Array.empty
-    kStar = Array.empty
-    v = Array.empty
-    java.util.Arrays.fill(vv, 0.0)
-    java.util.Arrays.fill(observed, false)
     x.indices.foreach(i => add(x(i), y(i)))
   }
 
   /** Adds one observation: one new factor row, and one k* and v entry per
     * candidate. The 1e-3 noise on the diagonal of a PSD kernel matrix keeps
-    * every pivot at least 1e-3 above zero, so the factor never needs jitter.
+    * every pivot at least 1e-3 above zero.
     */
   def add(x: Array[Double], y: Double): Unit = {
     xs = xs :+ x
     ys = ys :+ y
-    kRows = kRows :+ kernelRow(size - 1)
     chol = chol :+ new Array[Double](size)
-    val jitter = LinAlg.choleskyFrom(kRows, chol, size - 1)
-    require(jitter == 0.0, s"GaussianProcess: kernel matrix needed jitter $jitter")
+    LinAlg.choleskyRow(kernelRow(size - 1), chol, size - 1)
     yMean = ys.sum / ys.length
     yStd = math.max(1e-9, math.sqrt(ys.map(v => (v - yMean) * (v - yMean)).sum / ys.length))
     alpha = LinAlg.choleskySolve(chol, ys.map(v => (v - yMean) / yStd))

@@ -123,7 +123,4 @@ object AppModel {
   val clusterASuite: Seq[AppModel] = Seq(wordCount, sortByKey, kMeans, svm, pageRank)
 
   val all: Seq[AppModel] = clusterASuite :+ tpch
-
-  def byName(n: String): AppModel =
-    all.find(_.name == n).getOrElse(sys.error(s"unknown app $n"))
 }

@@ -24,7 +24,6 @@ final case class Profile(
 
 /** Outcome of one (simulated) application execution. */
 final case class RunResult(
-    app: String,
     conf: MemoryConf,
     runtimeSec: Double,
     aborted: Boolean,
@@ -132,7 +131,7 @@ final class Simulator(val hw: Hardware) {
     )
 
     RunResult(
-      app = app.name, conf = conf,
+      conf = conf,
       runtimeSec = runtime, aborted = aborted, failedContainers = failed,
       gcOverhead = gc,
       maxHeapUtil = math.min(1.0, l.heapDemandMb / conf.heapMb),

@@ -33,11 +33,6 @@ object SvmW {
       w
     }
 
-  def accuracy(data: DataFrame, w: Array[Double]): Double = {
-    val correct = when(margin(w) > 0.0, 1.0).otherwise(0.0)
-    data.select(avg(correct) as "acc").collect()(0).getDouble(0)
-  }
-
   /** Spark side of the oracle check: misclassification count at a fixed w. */
   def misclassified(data: DataFrame, w: Array[Double]): DataFrame = {
     val pred = feats.zip(w).map { case (f, wi) => col(f) * wi }.reduce(_ + _)

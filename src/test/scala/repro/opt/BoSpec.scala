@@ -47,9 +47,6 @@ class BoSpec extends AnyFunSuite {
     lazy val feats: Vector[Array[Double]] = space.all.map(b.features)
   }
 
-  /** Table 9's SVM run of BO, GBO on the same app, and BO and GBO on
-    * PageRank, whose aborts spend the whole 30-probe budget.
-    */
   /** The reference surrogate: a candidate-free GP fitted to `hist` from scratch. */
   private def fitted(b: BayesOpt, hist: Seq[Observation]): GaussianProcess = {
     val gp = new GaussianProcess()
@@ -57,6 +54,9 @@ class BoSpec extends AnyFunSuite {
     gp
   }
 
+  /** Table 9's SVM run of BO, GBO on the same app, and BO and GBO on
+    * PageRank, whose aborts spend the whole 30-probe budget.
+    */
   private lazy val runs: Seq[Run] =
     for (app <- Seq(AppModel.svm, AppModel.pageRank); guided <- Seq(false, true)) yield {
       val space = new ConfigSpace(hw, app)

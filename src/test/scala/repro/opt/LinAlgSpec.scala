@@ -62,46 +62,25 @@ class LinAlgSpec extends AnyFunSuite {
     assert(math.abs(x(0) - 0.5) < 1e-12 && math.abs(x(1) - 1.0) < 1e-12)
   }
 
-  test("near-singular matrices get jitter instead of crashing") {
+  test("a singular matrix is rejected, not factored") {
     val a = Array(
       Array(1.0, 1.0),
       Array(1.0, 1.0))
-    val l = LinAlg.cholesky(a) // singular: must jitter, not throw
-    assert(l(0)(0) > 0)
-    assert(LinAlg.choleskyFrom(a, Array.ofDim[Double](2, 2), 0) > 0)
-    assert(l.map(_.toSeq).toSeq == allAtOnce(a).map(_.toSeq).toSeq)
+    assertThrows[IllegalArgumentException](LinAlg.cholesky(a))
   }
 
-  /** The factorization as one pass over the whole matrix, restarted from
-    * scratch with more jitter whenever a pivot fails: the reference the
+  /** The factorization as one pass over the whole matrix: the reference the
     * row-appending one must equal bit for bit.
     */
   private def allAtOnce(a: Array[Array[Double]]): Array[Array[Double]] = {
     val n = a.length
     val l = Array.ofDim[Double](n, n)
-    var jitter = 0.0
-    var done = false
-    while (!done) {
-      done = true
-      var i = 0
-      while (done && i < n) {
-        var j = 0
-        while (done && j <= i) {
-          var s = 0.0
-          var k = 0
-          while (k < j) { s += l(i)(k) * l(j)(k); k += 1 }
-          if (i == j) {
-            val d = a(i)(i) + jitter - s
-            if (d <= 0) {
-              jitter = if (jitter == 0) 1e-10 else jitter * 10
-              l.foreach(java.util.Arrays.fill(_, 0.0))
-              done = false
-            } else l(i)(i) = math.sqrt(d)
-          } else l(i)(j) = (a(i)(j) - s) / l(j)(j)
-          j += 1
-        }
-        i += 1
-      }
+    for (i <- 0 until n; j <- 0 to i) {
+      var s = 0.0
+      var k = 0
+      while (k < j) { s += l(i)(k) * l(j)(k); k += 1 }
+      if (i == j) l(i)(i) = math.sqrt(a(i)(i) - s)
+      else l(i)(j) = (a(i)(j) - s) / l(j)(j)
     }
     l
   }
@@ -119,21 +98,9 @@ class LinAlgSpec extends AnyFunSuite {
       // Lower-triangular rows only, grown as GaussianProcess.add grows them.
       val rows = Array.tabulate(n)(i => a(i).take(i + 1))
       val l = Array.tabulate(n)(i => new Array[Double](i + 1))
-      for (i <- 0 until n) assert(LinAlg.choleskyFrom(rows.take(i + 1), l, i) == 0.0, s"trial $trial row $i")
+      for (i <- 0 until n) LinAlg.choleskyRow(rows(i), l, i)
       assert(l.map(_.toSeq).toSeq == want.indices.map(i => want(i).take(i + 1)), s"trial $trial")
     }
-  }
-
-  test("a row that needs jitter refactors from row 0 as the all-at-once factorization does") {
-    // Rows 1 and 2 are identical, so the third pivot is exactly 0.
-    val a = Array(
-      Array(1.0, 0.0, 0.0),
-      Array(0.0, 1.0, 1.0),
-      Array(0.0, 1.0, 1.0))
-    val l = Array.ofDim[Double](3, 3)
-    assert(LinAlg.choleskyFrom(a.take(2), l, 0) == 0.0)
-    assert(LinAlg.choleskyFrom(a, l, 2) > 0.0)
-    assert(l.map(_.toSeq).toSeq == allAtOnce(a).map(_.toSeq).toSeq)
   }
 
   test("dot product") {

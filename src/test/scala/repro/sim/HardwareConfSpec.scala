@@ -46,7 +46,7 @@ class HardwareConfSpec extends AnyFunSuite {
     assert(AppModel.wordCount.cacheMbTotal == 0)       // Map and Reduce
     assert(AppModel.kMeans.iterations > 1)             // iterative ML
     assert(AppModel.pageRank.netShareOfIo > 0.9)       // network-bound graph
-    assert(AppModel.byName("TPC-H").shuffleNeedMb > 0) // SQL
+    assert(AppModel.tpch.shuffleNeedMb > 0)            // SQL
   }
 
   test("MemoryConf rejects nonsensical knobs") {
