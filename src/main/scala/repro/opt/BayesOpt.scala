@@ -59,7 +59,7 @@ final class BayesOpt(space: ConfigSpace, guide: Option[Stats] = None, seed: Long
 
   /** Adds `o` to `gp`, marking its grid point as probed. */
   def observe(gp: GaussianProcess, o: Observation): Unit = {
-    val i = space.all.indexOf(o.conf)
+    val i = space.indexOf(o.conf)
     require(i >= 0, s"BayesOpt: ${o.conf} is not on the candidate grid")
     gp.addCandidate(i, o.objective)
   }
@@ -104,6 +104,10 @@ final class BayesOpt(space: ConfigSpace, guide: Option[Stats] = None, seed: Long
     env.trace
   }
 
-  /** τ of Eq 7: the best objective observed so far. */
-  private def incumbent(hist: Seq[Observation]): Double = hist.map(_.objective).min
+  /** τ of Eq 7: the best objective observed so far. A fold, not `.min`:
+    * C2 gave up compiling Scala's generic `min` for this caller after
+    * seconds of work, and the compiler memory it kept raised peak RSS.
+    */
+  private def incumbent(hist: Seq[Observation]): Double =
+    hist.foldLeft(Double.PositiveInfinity)((best, o) => math.min(best, o.objective))
 }

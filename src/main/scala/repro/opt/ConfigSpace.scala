@@ -29,6 +29,19 @@ final class ConfigSpace(val hw: Hardware, val app: AppModel) {
       nr <- nrGrid
     } yield conf(n, p, cap, nr)).toVector
 
+  /** Each grid point's first index in `all`. A space often serves one
+    * tuning session, so building the map must cost less than the scans it
+    * saves; a presized Java map does, an immutable Map did not.
+    */
+  private lazy val index: java.util.HashMap[MemoryConf, Integer] = {
+    val m = new java.util.HashMap[MemoryConf, Integer](2 * all.size)
+    all.indices.foreach(i => m.putIfAbsent(all(i), i))
+    m
+  }
+
+  /** `c`'s index in `all`, or −1 when `c` is off the grid. */
+  def indexOf(c: MemoryConf): Int = index.getOrDefault(c, -1)
+
   /** Normalized feature encoding of a point for the GP surrogate. */
   def encode(c: MemoryConf): Array[Double] = Array(
     c.containersPerNode.toDouble / hw.containerChoices.max,

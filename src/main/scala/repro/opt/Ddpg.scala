@@ -39,10 +39,12 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
 
   // Training scratch, reused by every step. A minibatch draws at most
   // `batch` distinct transitions; slot k holds the k-th one's replay index
-  // and its backpropagated Q(s, a) and μ(s) traces.
+  // and its backpropagated Q(s, a) and μ(s) traces, and `drawSlot` maps
+  // each draw to its slot.
   private val gradC = critic.grads()
   private val gradA = actor.grads()
   private val slotIndex = new Array[Int](batch)
+  private val drawSlot = new Array[Int](batch)
   private val qTraces = Array.fill(batch)(critic.trace())
   private val muTraces = Array.fill(batch)(actor.trace())
   private val targetMu = actorT.trace()
@@ -91,10 +93,11 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
         backprop(replay(idx), qTraces(slot), muTraces(slot), n)
         slots += 1
       }
-      critic.accumulate(qTraces(slot), gradC)
-      actor.accumulate(muTraces(slot), gradA)
+      drawSlot(k) = slot
       k += 1
     }
+    critic.accumulate(qTraces, drawSlot, n, gradC)
+    actor.accumulate(muTraces, drawSlot, n, gradA)
     critic.adamStep(gradC, lr = 1e-2)
     actor.adamStep(gradA, lr = 1e-3)
     actorT.softUpdateFrom(actor, tau)
@@ -135,7 +138,8 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
     var s = state(prev)
     var noise = 0.6
     var guard = 0
-    while (env.iterations < maxNewSamples + 1 && guard < maxNewSamples * 8) {
+    def more = env.iterations < maxNewSamples + 1 && guard < maxNewSamples * 8
+    while (more) {
       val aRaw = actor(s)
       val a = aRaw.map(v => math.max(-1.0, math.min(1.0, v + noise * rnd.nextGaussian())))
       val conf = space.fromUnit(a.map(v => (v + 1) / 2))
@@ -143,11 +147,12 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
       val r = reward(r0, prev.objective, obs.objective)
       val s2 = state(obs)
       remember(s, a, r, s2)
-      (1 to 4).foreach(_ => train())
+      guard += 1
+      // Training after the last action would feed nothing tune returns.
+      if (more) (1 to 4).foreach(_ => train())
       s = s2
       prev = obs
       noise = math.max(0.1, noise * 0.92)
-      guard += 1
     }
     env.trace
   }

@@ -1,6 +1,7 @@
 package repro.opt
 
 import java.util.Arrays
+import repro.linalg.FdLibm
 
 /** Small dense neural network with tanh hidden layers, used by the DDPG
   * actor and critic (paper Sec 5.3). Supports backprop to both parameters
@@ -19,7 +20,10 @@ final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
 
   val w: Array[Array[Double]] = Array.tabulate(L) { l =>
     val fanIn = sizes(l)
-    Array.fill(sizes(l + 1) * fanIn)((rnd.nextDouble() * 2 - 1) / math.sqrt(fanIn))
+    val wl = new Array[Double](sizes(l + 1) * fanIn)
+    var k = 0
+    while (k < wl.length) { wl(k) = (rnd.nextDouble() * 2 - 1) / math.sqrt(fanIn); k += 1 }
+    wl
   }
   val b: Array[Array[Double]] = Array.tabulate(L)(l => new Array[Double](sizes(l + 1)))
 
@@ -54,27 +58,47 @@ final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
 
   def grads(): Grads = new Grads
 
-  /** Runs the net on `tr.input`; returns `tr.output`. */
+  /** Runs the net on `tr.input`; returns `tr.output`. Each unit sums
+    * b + w·x over j = 0..n−1 in order; four units share each sweep of the
+    * input, and a scalar loop takes the units left over.
+    */
   def forward(tr: Trace): Array[Double] = {
     var l = 0
     while (l < L) {
       val in = tr.acts(l)
       val out = tr.acts(l + 1)
       val wl = w(l)
+      val bl = b(l)
+      val n = in.length
       val squash = l < L - 1 || outTanh
       var i = 0
-      while (i < out.length) {
-        var s = b(l)(i)
-        val row = i * in.length
+      while (i + 4 <= out.length) {
+        var s0 = bl(i); var s1 = bl(i + 1); var s2 = bl(i + 2); var s3 = bl(i + 3)
+        val r0 = i * n; val r1 = r0 + n; val r2 = r1 + n; val r3 = r2 + n
         var j = 0
-        while (j < in.length) { s += wl(row + j) * in(j); j += 1 }
-        out(i) = if (squash) math.tanh(s) else s
+        while (j < n) {
+          val x = in(j)
+          s0 += wl(r0 + j) * x; s1 += wl(r1 + j) * x; s2 += wl(r2 + j) * x; s3 += wl(r3 + j) * x
+          j += 1
+        }
+        out(i) = squashed(s0, squash); out(i + 1) = squashed(s1, squash)
+        out(i + 2) = squashed(s2, squash); out(i + 3) = squashed(s3, squash)
+        i += 4
+      }
+      while (i < out.length) {
+        var s = bl(i)
+        val row = i * n
+        var j = 0
+        while (j < n) { s += wl(row + j) * in(j); j += 1 }
+        out(i) = squashed(s, squash)
         i += 1
       }
       l += 1
     }
     tr.output
   }
+
+  private def squashed(s: Double, squash: Boolean): Double = if (squash) FdLibm.tanh(s) else s
 
   def apply(x: Array[Double]): Array[Double] = {
     val tr = trace()
@@ -98,12 +122,23 @@ final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
       val gIn = tr.deltas(l)
       Arrays.fill(gIn, 0.0)
       val wl = w(l)
+      val n = gIn.length
       var i = 0
+      while (i + 4 <= delta.length) { // four units per sweep, added in unit order
+        val d0 = delta(i); val d1 = delta(i + 1); val d2 = delta(i + 2); val d3 = delta(i + 3)
+        val r0 = i * n; val r1 = r0 + n; val r2 = r1 + n; val r3 = r2 + n
+        var j = 0
+        while (j < n) {
+          gIn(j) = gIn(j) + wl(r0 + j) * d0 + wl(r1 + j) * d1 + wl(r2 + j) * d2 + wl(r3 + j) * d3
+          j += 1
+        }
+        i += 4
+      }
       while (i < delta.length) {
         val d = delta(i)
-        val row = i * gIn.length
+        val row = i * n
         var j = 0
-        while (j < gIn.length) { gIn(j) += wl(row + j) * d; j += 1 }
+        while (j < n) { gIn(j) += wl(row + j) * d; j += 1 }
         i += 1
       }
       l -= 1
@@ -111,26 +146,50 @@ final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
     tr.deltas(0)
   }
 
-  /** Adds one backpropagated trace's parameter gradients, d ⊗ in and d, to `g`. */
-  def accumulate(tr: Trace, g: Grads): Unit = {
+  /** Adds the parameter gradients, d ⊗ in and d, of the backpropagated
+    * traces `trs(draws(0))`, …, `trs(draws(n − 1))` to `g` in that order.
+    * Four draws share each sweep of a weight row.
+    */
+  def accumulate(trs: Array[Trace], draws: Array[Int], n: Int, g: Grads): Unit = {
     var l = 0
     while (l < L) {
-      val delta = tr.deltas(l + 1)
-      val in = tr.acts(l)
       val gw = g.w(l)
       val gb = g.b(l)
+      val m = sizes(l)
       var i = 0
-      while (i < delta.length) {
-        val d = delta(i)
-        gb(i) += d
-        val row = i * in.length
-        var j = 0
-        while (j < in.length) { gw(row + j) += d * in(j); j += 1 }
+      while (i < sizes(l + 1)) {
+        val row = i * m
+        var k = 0
+        while (k + 4 <= n) {
+          val t0 = trs(draws(k)); val t1 = trs(draws(k + 1)); val t2 = trs(draws(k + 2)); val t3 = trs(draws(k + 3))
+          val d0 = t0.deltas(l + 1)(i); val d1 = t1.deltas(l + 1)(i)
+          val d2 = t2.deltas(l + 1)(i); val d3 = t3.deltas(l + 1)(i)
+          val in0 = t0.acts(l); val in1 = t1.acts(l); val in2 = t2.acts(l); val in3 = t3.acts(l)
+          gb(i) = gb(i) + d0 + d1 + d2 + d3
+          var j = 0
+          while (j < m) {
+            gw(row + j) = gw(row + j) + d0 * in0(j) + d1 * in1(j) + d2 * in2(j) + d3 * in3(j)
+            j += 1
+          }
+          k += 4
+        }
+        while (k < n) {
+          val tr = trs(draws(k))
+          val d = tr.deltas(l + 1)(i)
+          val in = tr.acts(l)
+          gb(i) += d
+          var j = 0
+          while (j < m) { gw(row + j) += d * in(j); j += 1 }
+          k += 1
+        }
         i += 1
       }
       l += 1
     }
   }
+
+  /** Adds one backpropagated trace's parameter gradients to `g`. */
+  def accumulate(tr: Trace, g: Grads): Unit = accumulate(Array(tr), Array(0), 1, g)
 
   def adamStep(g: Grads, lr: Double): Unit = {
     t += 1

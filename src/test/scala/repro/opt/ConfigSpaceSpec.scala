@@ -15,8 +15,11 @@ class ConfigSpaceSpec extends AnyFunSuite {
 
   test("the candidate grid has no repeated point, so BO marks a probe by its one index") {
     for (app <- AppModel.clusterASuite) {
-      val all = new ConfigSpace(hw, app).all
+      val space = new ConfigSpace(hw, app)
+      val all = space.all
       assert(all.distinct.size == all.size, app.name)
+      assert(all.indices.forall(i => space.indexOf(all(i)) == i), app.name)
+      assert(space.indexOf(space.conf(1, 1, 0.03, 1)) == -1, app.name) // capacity off the grid
     }
   }
 

@@ -65,6 +65,27 @@ class MlpSpec extends AnyFunSuite {
     }
   }
 
+  test("forward equals the nested reference bit for bit, four-unit blocks and leftover units alike") {
+    val rnd = new scala.util.Random(11)
+    for (width <- Seq(1, 3, 4, 5, 7, 64); outTanh <- Seq(true, false)) {
+      val sizes = Array(width, 5, width, 3, width)
+      val net = new Mlp(sizes, outTanh, seed = width)
+      val ref = new DdpgSpec.ReferenceMlp(sizes, outTanh, seed = width)
+      for (l <- net.b.indices; i <- net.b(l).indices) { // non-zero biases, as training leaves them
+        net.b(l)(i) = rnd.nextGaussian(); ref.b(l)(i) = net.b(l)(i)
+      }
+      for (_ <- 0 until 20) {
+        val x = Array.fill(width)(rnd.nextGaussian() * 2)
+        val tr = net.trace()
+        x.copyToArray(tr.input)
+        net.forward(tr)
+        val want = ref.forward(x)
+        for (l <- want.indices; i <- want(l).indices)
+          assert(tr.acts(l)(i) == want(l)(i), s"width $width, outTanh $outTanh, layer $l unit $i")
+      }
+    }
+  }
+
   test("Adam training fits a small regression target") {
     val net = new Mlp(Array(2, 16, 1), outTanh = false, seed = 3)
     val rnd = new scala.util.Random(4)
