@@ -22,6 +22,8 @@ final class BayesOpt(space: ConfigSpace, guide: Option[Stats] = None, seed: Long
   private val minAdaptive = 6
   private val maxAdaptive = 26
   private val eiThreshold = 0.10
+  /** 1/√(2π), the largest value the computed φ takes. */
+  private val invSqrt2Pi = 0.3989422804014327
 
   /** Feature vector: knob encoding, plus q1..q3 when guided. */
   def features(c: MemoryConf): Array[Double] = guide match {
@@ -69,19 +71,59 @@ final class BayesOpt(space: ConfigSpace, guide: Option[Stats] = None, seed: Long
     */
   def propose(gp: GaussianProcess, tau: Double): Option[(MemoryConf, Double)] = {
     gp.posterior()
-    val (observed, mean, sd) = (gp.observed, gp.mean, gp.sd)
+    val (best, ei) = eiArgmax(gp.observed, gp.mean, gp.sd, tau)
+    if (best < 0) None else Some((space.all(best), ei))
+  }
+
+  /** The unobserved candidate of largest EI, the first in index order among
+    * equals under `Double.compare` (the total order `maxBy` uses on
+    * Doubles), with its EI; (−1, 0) if every candidate is observed.
+    *
+    * EI is evaluated first where [[eiBound]] is largest, then in index
+    * order only where the bound reaches the best EI so far: a candidate
+    * whose bound is below it cannot be the maximum.
+    */
+  private[opt] def eiArgmax(observed: Array[Boolean], mean: Array[Double], sd: Array[Double],
+                            tau: Double): (Int, Double) = {
+    val bound = new Array[Double](observed.length)
     var best = -1
-    var bestEi = 0.0
     var c = 0
     while (c < observed.length) {
       if (!observed(c)) {
-        val ei = expectedImprovement(mean(c), sd(c), tau)
-        // Double.compare is the total order `maxBy` uses on Doubles.
-        if (best < 0 || java.lang.Double.compare(ei, bestEi) > 0) { best = c; bestEi = ei }
+        bound(c) = eiBound(mean(c), sd(c), tau)
+        if (best < 0 || bound(c) > bound(best)) best = c
       }
       c += 1
     }
-    if (best < 0) None else Some((space.all(best), bestEi))
+    if (best < 0) return (-1, 0.0)
+    val first = best
+    var bestEi = expectedImprovement(mean(best), sd(best), tau)
+    c = 0
+    while (c < observed.length) {
+      if (!observed(c) && c != first && !(bound(c) < bestEi)) {
+        val ei = expectedImprovement(mean(c), sd(c), tau)
+        val cmp = java.lang.Double.compare(ei, bestEi)
+        if (cmp > 0 || (cmp == 0 && c < best)) { best = c; bestEi = ei }
+      }
+      c += 1
+    }
+    (best, bestEi)
+  }
+
+  /** An upper bound on [[expectedImprovement]], with a 1e-9 margin for
+    * rounding. The computed Φ stays in [0, 1] and the computed φ at most
+    * 1/√(2π), so EI ≤ max(τ−μ, 0) + σ/√(2π). Above the incumbent (μ > τ)
+    * the (τ−μ)·Φ term is not positive, and e^−u ≤ 1/(1 + u + u²/2 + u³/6)
+    * bounds φ's exponential, u = z²/2, without calling `exp`.
+    */
+  private[opt] def eiBound(mu: Double, sigma: Double, tau: Double): Double = {
+    val d = tau - mu
+    if (d >= 0) (d + sigma * invSqrt2Pi) * (1 + 1e-9)
+    else {
+      val z = d / sigma
+      val u = 0.5 * z * z
+      sigma * invSqrt2Pi / (1 + u * (1 + u * (0.5 + u / 6))) * (1 + 1e-9)
+    }
   }
 
   def tune(env: TuningEnv): TuningTrace = {

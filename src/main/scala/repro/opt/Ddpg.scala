@@ -27,9 +27,8 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
 
   val actor = new Mlp(Array(stateDim, 64, 64, actionDim), outTanh = true, seed)
   val critic = new Mlp(Array(stateDim + actionDim, 64, 64, 1), outTanh = false, seed + 1)
-  private[opt] val actorT = new Mlp(Array(stateDim, 64, 64, actionDim), outTanh = true, seed + 2)
-  private[opt] val criticT = new Mlp(Array(stateDim + actionDim, 64, 64, 1), outTanh = false, seed + 3)
-  actorT.copyFrom(actor); criticT.copyFrom(critic)
+  private[opt] val actorT = actor.copy()
+  private[opt] val criticT = critic.copy()
 
   private case class Transition(s: Array[Double], a: Array[Double], r: Double, s2: Array[Double])
   private val replay = ArrayBuffer.empty[Transition]
@@ -114,7 +113,7 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
     val y = tr.r + gamma * criticT.forward(targetQ)(0)
     stateAction(tr.s, tr.a, q.input)
     q.gradOut(0) = 2.0 * (critic.forward(q)(0) - y) / n
-    critic.backprop(q)
+    critic.backprop(q, inputGrad = false)
 
     // Actor: ascend Q(s, μ(s)) — backprop −∂Q/∂a through the actor. Only
     // the critic's input gradient is used, so its parameters get none.
@@ -122,8 +121,9 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
     stateAction(tr.s, actor.forward(mu), qOfMu.input)
     critic.forward(qOfMu)
     qOfMu.gradOut(0) = -1.0 / n
-    System.arraycopy(critic.backprop(qOfMu), stateDim, mu.gradOut, 0, actionDim)
-    actor.backprop(mu)
+    critic.backprop(qOfMu)
+    System.arraycopy(qOfMu.deltas(0), stateDim, mu.gradOut, 0, actionDim)
+    actor.backprop(mu, inputGrad = false)
   }
 
   private def stateAction(s: Array[Double], a: Array[Double], into: Array[Double]): Unit = {

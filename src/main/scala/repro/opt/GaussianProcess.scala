@@ -1,5 +1,6 @@
 package repro.opt
 
+import java.util.Arrays
 import repro.linalg.LinAlg
 
 /** Gaussian-process regression (paper Eq 6): zero-mean prior, RBF kernel
@@ -25,21 +26,29 @@ final class GaussianProcess(candidates: Array[Array[Double]] = Array.empty) {
   private val noiseVar = 1e-3
   private val m = candidates.length
 
-  private var xs: Array[Array[Double]] = Array.empty
-  private var ys: Array[Double] = Array.empty
-  /** Row i holds L(i)(0..i). */
-  private var chol: Array[Array[Double]] = Array.empty
+  // Observation i's rows, in arrays that double when full: its features,
+  // target, row L(i)(0..i) of the kernel matrix's Cholesky factor, k(x_i, ·)
+  // over the candidates, and entry i of every candidate's forward solve
+  // L v = k*. BO's 30 probes fit in the first 32.
+  private val initialCapacity = 32
+  private var n = 0
+  private var xs = new Array[Array[Double]](initialCapacity)
+  private var ys = new Array[Double](initialCapacity)
+  private var chol = new Array[Array[Double]](initialCapacity)
+  private var kStar = new Array[Array[Double]](initialCapacity)
+  private var v = new Array[Array[Double]](initialCapacity)
   private var alpha: Array[Double] = Array.empty
   private var yMean = 0.0
   private var yStd = 1.0
 
-  /** Row i: k(x_i, ·) over the candidates. */
-  private var kStar: Array[Array[Double]] = Array.empty
-  /** Row i: entry i of every candidate's forward solve L v = k*. */
-  private var v: Array[Array[Double]] = Array.empty
   /** Σ v², accumulated in row order as `LinAlg.dot(v, v)` sums it. */
   private val vv = new Array[Double](m)
-  private val prior = candidates.map(c => kernel(c, c))
+  private val prior = {
+    val p = new Array[Double](m)
+    var c = 0
+    while (c < m) { p(c) = kernel(candidates(c), candidates(c)); c += 1 }
+    p
+  }
   /** Which candidates [[addCandidate]] has added. */
   val observed = new Array[Boolean](m)
   /** The posterior mean and standard deviation per candidate, as the last
@@ -67,16 +76,49 @@ final class GaussianProcess(candidates: Array[Array[Double]] = Array.empty) {
     * every pivot at least 1e-3 above zero.
     */
   def add(x: Array[Double], y: Double): Unit = {
-    xs = xs :+ x
-    ys = ys :+ y
-    chol = chol :+ new Array[Double](size)
-    LinAlg.choleskyRow(kernelRow(size - 1), chol, size - 1)
-    yMean = ys.sum / ys.length
-    yStd = math.max(1e-9, math.sqrt(ys.map(v => (v - yMean) * (v - yMean)).sum / ys.length))
-    alpha = LinAlg.choleskySolve(chol, ys.map(v => (v - yMean) / yStd))
-    kStar = kStar :+ candidates.map(kernel(x, _))
-    v = v :+ new Array[Double](m)
-    solveRow(size - 1)
+    if (n == ys.length) grow()
+    val i = n
+    n += 1
+    xs(i) = x
+    ys(i) = y
+    chol(i) = new Array[Double](i + 1)
+    LinAlg.choleskyRow(kernelRow(i), chol, i)
+    standardize()
+    val ki = new Array[Double](m)
+    var c = 0
+    while (c < m) { ki(c) = kernel(x, candidates(c)); c += 1 }
+    kStar(i) = ki
+    v(i) = new Array[Double](m)
+    solveRow(i)
+  }
+
+  /** Re-derives the targets' mean and deviation, and α = K⁻¹ z for the
+    * standardized targets z.
+    */
+  private def standardize(): Unit = {
+    // Both sums start from ys(0), not from 0.0, as Scala's `sum` adds.
+    var s = ys(0)
+    var k = 1
+    while (k < n) { s += ys(k); k += 1 }
+    yMean = s / n
+    var d = ys(0) - yMean
+    var ss = d * d
+    k = 1
+    while (k < n) { d = ys(k) - yMean; ss += d * d; k += 1 }
+    yStd = math.max(1e-9, math.sqrt(ss / n))
+    val z = new Array[Double](n)
+    k = 0
+    while (k < n) { z(k) = (ys(k) - yMean) / yStd; k += 1 }
+    alpha = LinAlg.choleskySolve(chol, z)
+  }
+
+  private def grow(): Unit = {
+    val cap = 2 * ys.length
+    xs = Arrays.copyOf(xs, cap)
+    ys = Arrays.copyOf(ys, cap)
+    chol = Arrays.copyOf(chol, cap)
+    kStar = Arrays.copyOf(kStar, cap)
+    v = Arrays.copyOf(v, cap)
   }
 
   /** Adds candidate `i`, observed at `y`, and marks it [[observed]]. */
@@ -86,8 +128,13 @@ final class GaussianProcess(candidates: Array[Array[Double]] = Array.empty) {
   }
 
   /** K(i)(0..i): the kernel against every earlier point, noise on the diagonal. */
-  private def kernelRow(i: Int): Array[Double] =
-    Array.tabulate(i + 1)(j => if (j < i) kernel(xs(i), xs(j)) else kernel(xs(i), xs(i)) + noiseVar)
+  private def kernelRow(i: Int): Array[Double] = {
+    val row = new Array[Double](i + 1)
+    var j = 0
+    while (j < i) { row(j) = kernel(xs(i), xs(j)); j += 1 }
+    row(i) = kernel(xs(i), xs(i)) + noiseVar
+    row
+  }
 
   /** Row r of every candidate's v, subtracting in `forwardSolve`'s order. */
   private def solveRow(r: Int): Unit = {
@@ -107,7 +154,7 @@ final class GaussianProcess(candidates: Array[Array[Double]] = Array.empty) {
     while (c < m) { vr(c) /= d; vv(c) += vr(c) * vr(c); c += 1 }
   }
 
-  def size: Int = xs.length
+  def size: Int = n
 
   /** Fills [[mean]] and [[sd]] at every candidate (Eq 6). */
   def posterior(): Unit = {
@@ -130,7 +177,9 @@ final class GaussianProcess(candidates: Array[Array[Double]] = Array.empty) {
 
   /** Posterior mean and standard deviation at a point (Eq 6). */
   def predict(x: Array[Double]): (Double, Double) = {
-    val kv = xs.map(kernel(_, x))
+    val kv = new Array[Double](n)
+    var i = 0
+    while (i < n) { kv(i) = kernel(xs(i), x); i += 1 }
     val mu = LinAlg.dot(kv, alpha)
     val v = LinAlg.forwardSolve(chol, kv)
     val varx = math.max(0.0, kernel(x, x) - LinAlg.dot(v, v))

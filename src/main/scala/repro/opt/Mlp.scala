@@ -13,19 +13,15 @@ import repro.linalg.FdLibm
   * links input j to unit i. Passes run in a reusable [[Trace]] and
   * gradients add into a reusable [[Grads]], so training allocates nothing.
   */
-final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
+final class Mlp private (val sizes: Array[Int], outTanh: Boolean,
+                         val w: Array[Array[Double]], val b: Array[Array[Double]]) {
 
-  private val rnd = new scala.util.Random(seed)
+  /** A net with weights drawn uniformly in ±1/√fan-in from `seed`, and zero biases. */
+  def this(sizes: Array[Int], outTanh: Boolean, seed: Long) =
+    this(sizes, outTanh, Mlp.drawWeights(sizes, seed),
+      Array.tabulate(sizes.length - 1)(l => new Array[Double](sizes(l + 1))))
+
   private val L = sizes.length - 1
-
-  val w: Array[Array[Double]] = Array.tabulate(L) { l =>
-    val fanIn = sizes(l)
-    val wl = new Array[Double](sizes(l + 1) * fanIn)
-    var k = 0
-    while (k < wl.length) { wl(k) = (rnd.nextDouble() * 2 - 1) / math.sqrt(fanIn); k += 1 }
-    wl
-  }
-  val b: Array[Array[Double]] = Array.tabulate(L)(l => new Array[Double](sizes(l + 1)))
 
   // Adam state
   private[opt] val mw = w.map(a => new Array[Double](a.length))
@@ -36,7 +32,8 @@ final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
 
   /** One pass's activations per layer (`acts(0)` is the input) and deltas:
     * after [[backprop]], `deltas(l)` for l ≥ 1 is the gradient w.r.t. layer
-    * l's pre-activations and `deltas(0)` the gradient w.r.t. the input.
+    * l's pre-activations and `deltas(0)`, if asked for, the gradient w.r.t.
+    * the input.
     */
   final class Trace private[Mlp] () {
     val acts: Array[Array[Double]] = sizes.map(new Array[Double](_))
@@ -107,9 +104,10 @@ final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
   }
 
   /** Backpropagates `tr.gradOut` through a forward-run trace, filling its
-    * deltas; returns the gradient w.r.t. the input (`tr.deltas(0)`).
+    * deltas down to `deltas(1)`, which is all [[accumulate]] reads, and the
+    * input gradient `deltas(0)` too when `inputGrad` is set.
     */
-  def backprop(tr: Trace): Array[Double] = {
+  def backprop(tr: Trace, inputGrad: Boolean = true): Unit = {
     var l = L - 1
     while (l >= 0) {
       val delta = tr.deltas(l + 1)
@@ -119,6 +117,7 @@ final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
         var i = 0
         while (i < delta.length) { delta(i) *= (1.0 - act(i) * act(i)); i += 1 }
       }
+      if (l == 0 && !inputGrad) return
       val gIn = tr.deltas(l)
       Arrays.fill(gIn, 0.0)
       val wl = w(l)
@@ -143,7 +142,6 @@ final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
       }
       l -= 1
     }
-    tr.deltas(0)
   }
 
   /** Adds the parameter gradients, d ⊗ in and d, of the backpropagated
@@ -215,13 +213,27 @@ final class Mlp(val sizes: Array[Int], outTanh: Boolean, seed: Long) {
     }
   }
 
-  def copyFrom(src: Mlp): Unit = softUpdateFrom(src, 1.0)
+  /** A net with this one's weights and biases in arrays of its own, and
+    * fresh Adam state.
+    */
+  def copy(): Mlp = new Mlp(sizes, outTanh, w.map(_.clone), b.map(_.clone))
 }
 
 object Mlp {
   private val b1 = 0.9
   private val b2 = 0.999
   private val eps = 1e-8
+
+  private def drawWeights(sizes: Array[Int], seed: Long): Array[Array[Double]] = {
+    val rnd = new scala.util.Random(seed)
+    Array.tabulate(sizes.length - 1) { l =>
+      val fanIn = sizes(l)
+      val wl = new Array[Double](sizes(l + 1) * fanIn)
+      var k = 0
+      while (k < wl.length) { wl(k) = (rnd.nextDouble() * 2 - 1) / math.sqrt(fanIn); k += 1 }
+      wl
+    }
+  }
 
   /** One Adam update of parameters `p` from gradients `g`, moments `m`, `v`. */
   private def adam(p: Array[Double], g: Array[Double], m: Array[Double], v: Array[Double],

@@ -263,9 +263,9 @@ object Tables {
 
     // BO/GBO: what `BayesOpt.tune` runs per iteration on a surrogate that
     // already holds the first nine observations: adding the newest one (one
-    // GP factor row, plus one k* and v entry per grid point) + the EI sweep
-    // over the unseen grid; the model stores the training features and
-    // objectives.
+    // GP factor row, plus one k* and v entry per grid point) + the EI argmax
+    // over the unseen grid, which evaluates EI only where its upper bound can
+    // still win; the model stores the training features and objectives.
     val bo = new BayesOpt(space, guide = None, seed = 0L)
     val gbo = new BayesOpt(space, guide = Some(stats), seed = 0L)
     def gpCells(b: BayesOpt): Seq[Cell] = {

@@ -33,6 +33,59 @@ class BoSpec extends AnyFunSuite {
     assert(b.expectedImprovement(5, 1, 7) > b.expectedImprovement(6, 1, 7))
   }
 
+  test("EI never exceeds the bound the argmax prunes with") {
+    val b = bo(AppModel.svm)
+    val rnd = new scala.util.Random(19)
+    def check(mu: Double, sigma: Double, tau: Double): Unit = {
+      val (ei, bound) = (b.expectedImprovement(mu, sigma, tau), b.eiBound(mu, sigma, tau))
+      assert(ei <= bound, s"mu $mu, sigma $sigma, tau $tau: EI $ei > bound $bound")
+    }
+    for (_ <- 0 until 100000) {
+      val mu = rnd.nextGaussian() * math.pow(10, rnd.nextInt(9) - 2)
+      val sigma = math.abs(rnd.nextGaussian()) * math.pow(10, rnd.nextInt(9) - 4)
+      check(mu, sigma, mu + rnd.nextGaussian() * sigma * 10)
+    }
+    for (sigma <- Seq(0.0, 1e-13, 1e-12, 1e-6, 1.0, 1e6); z <- (-320 to 320).map(_ / 8.0); mu <- Seq(-3.0, 0.0, 7.5, 1e4))
+      check(mu, sigma, mu + z * sigma)
+    for (mu <- Seq(-1e3, -1.0, 0.0, 2.0, 1e5); sigma <- Seq(0.0, 1e-13, 0.5, 1e6)) check(mu, sigma, tau = mu)
+  }
+
+  test("the pruned EI argmax is the first maximum in index order, ties included") {
+    val b = bo(AppModel.svm)
+    def bruteForce(observed: Array[Boolean], mean: Array[Double], sd: Array[Double], tau: Double): (Int, Double) = {
+      val open = observed.indices.filterNot(observed)
+      if (open.isEmpty) (-1, 0.0)
+      else {
+        val i = open.maxBy(c => b.expectedImprovement(mean(c), sd(c), tau))
+        (i, b.expectedImprovement(mean(i), sd(i), tau))
+      }
+    }
+    // Candidates 2 and 5 have the same EI, 2.0, but 5 has the larger bound,
+    // so the sweep starts there; candidate 0 is better but already observed.
+    val observed = Array(true, false, false, false, false, false, false)
+    val mean = Array(1.0, 9.0, 5.0, 6.0, 9.0, 5.0, 8.0)
+    val sd = Array(0.0, 0.0, 0.0, 0.0, 0.0, 1e-12, 0.0)
+    assert(b.eiBound(mean(5), sd(5), 7.0) > b.eiBound(mean(2), sd(2), 7.0))
+    assert(b.eiArgmax(observed, mean, sd, tau = 7.0) == ((2, 2.0)))
+    assert(b.eiArgmax(Array.fill(3)(true), Array.fill(3)(0.0), Array.fill(3)(1.0), 7.0)._1 == -1)
+    // Candidate 2's EI underflows to 0 but its bound does not, so the sweep
+    // starts there; candidates 0 and 1, with bound 0, tie with it at EI 0.
+    val far = (Array.fill(4)(false), Array(9.0, 9.0, 47.0, 8.0), Array(0.0, 0.0, 1.0, 0.0))
+    assert(b.expectedImprovement(47.0, 1.0, 7.0) == 0.0 && b.eiBound(47.0, 1.0, 7.0) > 0.0)
+    assert(b.eiArgmax(far._1, far._2, far._3, tau = 7.0) == ((0, 0.0)))
+    // Quantized means and deviations make many ties and many equal bounds.
+    val rnd = new scala.util.Random(23)
+    for (trial <- 0 until 2000) {
+      val m = 1 + rnd.nextInt(40)
+      val observed = Array.fill(m)(rnd.nextInt(4) == 0)
+      val mean = Array.fill(m)(rnd.nextInt(6).toDouble)
+      val sd = Array.fill(m)(if (rnd.nextBoolean()) 0.0 else rnd.nextInt(4) * 0.5)
+      val tau = rnd.nextInt(6).toDouble
+      val (got, want) = (b.eiArgmax(observed, mean, sd, tau), bruteForce(observed, mean, sd, tau))
+      assert(got._1 == want._1 && got._2.equals(want._2), s"trial $trial: $got vs $want")
+    }
+  }
+
   test("BO starts from 4 LHS samples and takes at least 6 adaptive ones") {
     val env = new TuningEnv(AppModel.wordCount, sim)
     val tr = bo(AppModel.wordCount).tune(env)
@@ -77,11 +130,13 @@ class BoSpec extends AnyFunSuite {
         val gp = fitted(r.b, prefix)
         val tau = prefix.map(_.objective).min
         val seen = prefix.map(_.conf).toSet
-        val want = r.space.all.indices.filterNot(i => seen(r.space.all(i))).maxBy { i =>
-          val (m, s) = gp.predict(r.feats(i)); r.b.expectedImprovement(m, s, tau)
-        }
+        def ei(i: Int): Double = { val (m, s) = gp.predict(r.feats(i)); r.b.expectedImprovement(m, s, tau) }
+        val want = r.space.all.indices.filterNot(i => seen(r.space.all(i))).maxBy(ei)
         assert(r.hist(k).conf == r.space.all(want), s"${r.name} step $k")
-        assert(r.b.propose(r.b.surrogate(prefix), tau).map(_._1).contains(r.space.all(want)), s"${r.name} step $k")
+        val Some((conf, got)) = r.b.propose(r.b.surrogate(prefix), tau)
+        assert(conf == r.space.all(want), s"${r.name} step $k")
+        assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(ei(want)),
+          s"${r.name} step $k: EI $got vs ${ei(want)}")
       }
     }
   }

@@ -110,4 +110,17 @@ class GpSpec extends AnyFunSuite {
     assert(gp.size == 7 && gp.observed.count(identity) == 6 && gp.observed(0) && gp.observed(39))
     check("after 2 more adds")
   }
+
+  test("the posterior equals predict after every add, past the storage's first doublings") {
+    val rnd = new scala.util.Random(17)
+    val cands = Array.fill(30)(Array.fill(2)(rnd.nextDouble()))
+    val gp = new GaussianProcess(cands)
+    for (k <- 1 to 70) {
+      if (k % 3 == 0 && k / 3 < cands.length) gp.addCandidate(k / 3, rnd.nextGaussian())
+      else gp.add(Array.fill(2)(rnd.nextDouble()), rnd.nextGaussian())
+      assert(gp.size == k)
+      gp.posterior()
+      for (c <- cands.indices) assert(gp.predict(cands(c)) == ((gp.mean(c), gp.sd(c))), s"after $k adds, candidate $c")
+    }
+  }
 }

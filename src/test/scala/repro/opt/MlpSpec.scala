@@ -118,8 +118,40 @@ class MlpSpec extends AnyFunSuite {
     val src = a.w(0)(0)
     b.softUpdateFrom(a, 0.1)
     assert(math.abs(b.w(0)(0) - (0.1 * src + 0.9 * before)) < 1e-12)
-    b.copyFrom(a)
-    assert(b.w(0)(0) == a.w(0)(0))
+  }
+
+  test("a copied net has the source's weights and biases in arrays of its own") {
+    val a = new Mlp(Array(3, 5, 2), outTanh = true, seed = 12)
+    a.b(1)(1) = 0.25
+    val c = a.copy()
+    assert(c.sizes.sameElements(a.sizes) && c.w.length == a.w.length && c.b.length == a.b.length)
+    for (l <- a.w.indices) {
+      assert(c.w(l).sameElements(a.w(l)) && c.b(l).sameElements(a.b(l)), s"layer $l")
+      assert((c.w(l) ne a.w(l)) && (c.b(l) ne a.b(l)), s"layer $l")
+    }
+    assert((c.w ne a.w) && (c.b ne a.b))
+    val x = Array(0.3, -0.6, 0.9)
+    assert(c(x).sameElements(a(x)))
+  }
+
+  test("backprop without the input gradient leaves every layer's deltas as a full backprop does") {
+    val rnd = new scala.util.Random(13)
+    for (width <- Seq(1, 3, 4, 5, 7, 64); outTanh <- Seq(true, false)) {
+      val net = new Mlp(Array(width, 5, width, 3), outTanh, seed = width)
+      for (_ <- 0 until 10) {
+        val x = Array.fill(width)(rnd.nextGaussian())
+        val dL = (o: Array[Double]) => o.map(_ - 0.2)
+        val full = backprop(net, x, dL)
+        val tr = net.trace()
+        x.copyToArray(tr.input)
+        net.forward(tr)
+        dL(tr.output).copyToArray(tr.gradOut)
+        net.backprop(tr, inputGrad = false)
+        for (l <- 1 until tr.deltas.length; i <- tr.deltas(l).indices)
+          assert(tr.deltas(l)(i).equals(full.deltas(l)(i)), s"width $width, outTanh $outTanh, delta($l)($i)")
+        assert(tr.deltas(0).forall(_ == 0.0), "no input gradient")
+      }
+    }
   }
 
   test("parameter count matches the architecture") {
