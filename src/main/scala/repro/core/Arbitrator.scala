@@ -44,8 +44,8 @@ object Arbitrator {
 
     // Physical feasibility floor: on small heaps Old can reach ~0.9·m_h, so
     // "demand ≤ m_o" alone would admit plans that cannot coexist with the
-    // JVM/framework reserved region. The pools must also fit beside it.
-    val fitCapMb = mhMb - repro.sim.GcModel.Constants.jvmReservedMb
+    // framework's reserved region. The pools must also fit beside it.
+    val fitCapMb = mhMb - MemoryConf.reservedMb
 
     var p  = init.p
     var mc = init.mcMb
@@ -87,7 +87,7 @@ object Arbitrator {
     if (unsafe) return None // no safe configuration at this size
 
     // Line 11: shuffle capped at half the per-task Eden share (Obs 7).
-    ms = math.min(ms, 0.5 * MemoryConf.edenMb(mhMb, nr, MemoryConf.defaultSurvivorRatio) / p)
+    ms = math.min(ms, 0.5 * MemoryConf.edenMb(mhMb, nr) / p)
 
     // Line 13: utility = productive fraction of heap.
     val u = (st.miMb + mc + p * (st.muMb + ms)) / mhMb

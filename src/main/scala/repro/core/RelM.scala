@@ -41,12 +41,10 @@ object RelM {
   def gatherStats(app: AppModel, sim: Simulator, startConf: MemoryConf,
                   seed: Long = 0L): (Stats, Seq[RunResult]) = {
     val first = sim.run(app, startConf, seed)
-    if (first.profile.hasFullGc)
-      (StatsGenerator.fromProfile(first.profile), Seq(first))
-    else {
-      val second = sim.run(app, reprofileConf(sim.hw, startConf), seed + 1)
-      (StatsGenerator.fromProfile(second.profile), Seq(first, second))
-    }
+    val runs =
+      if (first.profile.hasFullGc) Seq(first)
+      else Seq(first, sim.run(app, reprofileConf(sim.hw, startConf), seed + 1))
+    (StatsGenerator.fromRun(runs.last), runs)
   }
 
   /** Enumerator + Initializer + Arbitrator over every container size. When a
@@ -71,7 +69,7 @@ object RelM {
     * avoid silently under-provisioning small heaps.
     */
   def toConf(hw: Hardware, a: Arbitrated): MemoryConf = {
-    val base = math.max(1.0, a.mhMb - repro.sim.GcModel.Constants.jvmReservedMb)
+    val base = math.max(1.0, a.mhMb - MemoryConf.reservedMb)
     val cacheCap = math.min(1.0 - delta, a.mcMb / base)
     val shuffleCap = math.min(math.max(0.0, 1.0 - delta - cacheCap), a.p * a.msMb / base)
     MemoryConf.of(hw, a.n, a.p, cacheCap = cacheCap, shuffleCap = shuffleCap, newRatio = a.nr)

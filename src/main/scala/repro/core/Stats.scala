@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.sim.Profile
+import repro.sim.RunResult
 
 /** The Table-6 statistic vector derived from an application profile
   * (paper Sec 4.1) — the only application knowledge RelM / GBO / DDPG use.
@@ -37,24 +37,25 @@ final case class Stats(
 /** Statistics Generator (step 1 of Fig 12). */
 object StatsGenerator {
 
-  /** Reduce a profile to the Table-6 vector. When the profile has no full-GC
-    * events the only safe M_u estimate is the maximum Old-pool occupancy —
-    * a deliberate over-estimate (paper Sec 4.1, validated by Fig 22).
+  /** Reduce a run's profile to the Table-6 vector. When the profile has no
+    * full-GC events the only safe M_u estimate is the maximum Old-pool
+    * occupancy — a deliberate over-estimate (paper Sec 4.1, Fig 22).
     */
-  def fromProfile(pr: Profile): Stats = {
+  def fromRun(run: RunResult): Stats = {
+    val pr = run.profile
     val mu =
       if (pr.hasFullGc) pr.muMeasuredMb
       else math.max(pr.muMeasuredMb, pr.maxOldOccupancyMb)
     Stats(
-      n = pr.conf.containersPerNode,
-      mhMb = pr.conf.heapMb,
+      n = run.conf.containersPerNode,
+      mhMb = run.conf.heapMb,
       cpuAvgPct = pr.cpuAvgPct,
       diskAvgPct = pr.diskAvgPct,
       miMb = pr.miMb,
       mcMb = pr.mcMb,
       msMb = pr.msMb,
       muMb = mu,
-      p = pr.conf.taskConcurrency,
+      p = run.conf.taskConcurrency,
       h = pr.hitRatio,
       s = pr.spillFraction,
       hasFullGc = pr.hasFullGc,

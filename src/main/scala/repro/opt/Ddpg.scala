@@ -52,7 +52,7 @@ final class Ddpg(space: ConfigSpace, maxNewSamples: Int = 10, seed: Long = 7L) {
 
   /** Observation → normalized state vector. */
   def state(o: Observation): Array[Double] = {
-    val st = StatsGenerator.fromProfile(o.result.profile)
+    val st = StatsGenerator.fromRun(o.result)
     Array(
       st.cpuAvgPct / 100.0, st.diskAvgPct / 100.0,
       st.miMb / st.mhMb, st.mcMb / st.mhMb, st.msMb / st.mhMb,

@@ -5,6 +5,9 @@ import repro.sim.MemoryConf
 /** Exhaustive grid search (paper Sec 6.1): each knob domain discretized to 4
   * values, Task Concurrency bounded by cores/containers — 192 points on
   * Cluster A, matching the paper's count. Used only as the quality baseline.
+  * Its literal 0.6 cap is not `ConfigSpace.capGrid`'s `12 * 0.05`, so 48 of
+  * the 192 points per app lie off the grid BO, GBO and DDPG probe (ROADMAP
+  * item 1).
   */
 object Exhaustive {
 

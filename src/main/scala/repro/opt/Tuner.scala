@@ -3,8 +3,10 @@ package repro.opt
 import repro.sim.{AppModel, MemoryConf, RunResult, Simulator}
 import scala.collection.mutable
 
-/** One observed (configuration, outcome, objective) triple. */
-final case class Observation(conf: MemoryConf, result: RunResult, objective: Double)
+/** One observed run and its objective. */
+final case class Observation(result: RunResult, objective: Double) {
+  def conf: MemoryConf = result.conf
+}
 
 /** Outcome of a tuning session: the best observation and every probe. */
 final case class TuningTrace(best: Observation, history: Vector[Observation]) {
@@ -17,9 +19,10 @@ final case class TuningTrace(best: Observation, history: Vector[Observation]) {
 }
 
 /** Shared stress-testing environment for the black-box policies: runs the
-  * simulator, memoizes repeated probes, and applies the paper's objective
-  * for aborted runs (twice the worst runtime observed so far — Sec 6.1,
-  * "this heuristic ensures that the failing region is ranked low").
+  * simulator, memoizes repeated probes, and scores an aborted run at twice
+  * the worst objective so far, its own runtime included. Sec 6.1 says twice
+  * the worst *runtime*; an objective includes earlier aborts' penalties, so
+  * k aborts in a row score at least 2^k times it (ROADMAP item 1).
   */
 final class TuningEnv(app: AppModel, sim: Simulator, seed: Long = 0L) {
 
@@ -33,7 +36,7 @@ final class TuningEnv(app: AppModel, sim: Simulator, seed: Long = 0L) {
         if (r.aborted) 2.0 * math.max(worst, r.runtimeSec)
         else r.runtimeSec
       worst = math.max(worst, obj)
-      Observation(conf, r, obj)
+      Observation(r, obj)
     })
 
   def history: Vector[Observation] = cache.values.toVector

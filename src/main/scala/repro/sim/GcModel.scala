@@ -13,8 +13,6 @@ object GcModel {
     * (see DESIGN.md); every test and bench reads them from here.
     */
   object Constants {
-    /** Heap the JVM/framework reserves for itself (Spark's ~300 MB). */
-    val jvmReservedMb: Double = 300.0
     /** Fraction of task-unmanaged objects that live long enough to tenure
       * into Old between full GCs (profiling at full-GC boundaries sees them
       * — paper Sec 4.1).
@@ -71,7 +69,7 @@ object GcModel {
     * @param headroomMb    heap left for unmanaged objects after the reserved
     *                      region and the in-use managed pools
     * @param usableMb      heap minus a survivor space (fragmentation slack)
-    * @param strictUsableMb usable minus the JVM-reserved region
+    * @param strictUsableMb usable minus Spark's reserved region
     */
   final case class Load(
       cacheReqMb: Double,
@@ -111,7 +109,7 @@ object GcModel {
     val heapDemand = unmanaged + cacheUsed + shuffleUsed
     val oldDemand  = app.codeOverheadMb + cacheUsed + tenureFrac * p * app.taskUnmanagedMb
     val usable       = math.max(1.0, c.heapMb - c.survivorMb)
-    val strictUsable = math.max(1.0, usable - jvmReservedMb)
+    val strictUsable = math.max(1.0, usable - MemoryConf.reservedMb)
     val headroom = math.max(1.0, strictUsable - cacheUsed - shuffleUsed)
 
     Load(cacheReq, cacheUsed, hitRatio, chunk, spillFraction,

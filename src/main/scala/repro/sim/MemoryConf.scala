@@ -8,13 +8,6 @@ package repro.sim
   * @param cacheCap          Cache Capacity as a fraction of heap
   * @param shuffleCap        Shuffle Capacity as a fraction of heap
   * @param newRatio          ParallelGC NewRatio = Old/Young capacity ratio
-  * @param survivorRatio     ParallelGC SurvivorRatio (paper keeps default 8)
-  *
-  * No tuner varies `survivorRatio`, but the field stays: the case class's
-  * `hashCode` seeds the runtime jitter in `Simulator.run`
-  * (`gauss(seed ^ app.name.hashCode ^ conf.hashCode)`), so adding, removing,
-  * renaming or reordering a field would move every simulated runtime, and
-  * with them Tables 4–9 and every recorded tuning result.
   */
 final case class MemoryConf(
     containersPerNode: Int,
@@ -23,7 +16,6 @@ final case class MemoryConf(
     cacheCap: Double,
     shuffleCap: Double,
     newRatio: Int,
-    survivorRatio: Int = MemoryConf.defaultSurvivorRatio,
 ) {
   require(containersPerNode >= 1, s"containersPerNode=$containersPerNode")
   require(taskConcurrency >= 1, s"taskConcurrency=$taskConcurrency")
@@ -35,28 +27,43 @@ final case class MemoryConf(
   /** Young-generation capacity. */
   def youngMb: Double = heapMb / (newRatio + 1)
 
-  def edenMb: Double = MemoryConf.edenMb(heapMb, newRatio, survivorRatio)
+  def edenMb: Double = MemoryConf.edenMb(heapMb, newRatio)
 
   /** One survivor space (two exist; one is always empty). */
-  def survivorMb: Double = youngMb / survivorRatio
+  def survivorMb: Double = youngMb / MemoryConf.survivorRatio
 
   /** Unified cache+shuffle pool, Spark-style: fraction of (heap − reserved). */
-  def unifiedMb: Double = (cacheCap + shuffleCap) * math.max(0.0, heapMb - GcModel.Constants.jvmReservedMb)
+  def unifiedMb: Double = (cacheCap + shuffleCap) * math.max(0.0, heapMb - MemoryConf.reservedMb)
+
+  /** The key `Simulator.run` seeds its jitter from: the bits of the
+    * case-class `hashCode` this record had while SurvivorRatio was its
+    * seventh field, so recorded simulated runtimes do not rest on its shape.
+    */
+  def noiseKey: Int = {
+    import scala.util.hashing.MurmurHash3.{finalizeHash, mix, productSeed}
+    var h = mix(productSeed, "MemoryConf".hashCode)
+    h = mix(mix(mix(h, containersPerNode), heapMb.##), taskConcurrency)
+    h = mix(mix(mix(h, cacheCap.##), shuffleCap.##), newRatio)
+    finalizeHash(mix(h, MemoryConf.survivorRatio), 7)
+  }
 
   override def toString: String =
     f"MemoryConf(n=$containersPerNode heap=${heapMb}%.0fMB p=$taskConcurrency " +
-      f"cache=$cacheCap%.2f shuffle=$shuffleCap%.2f NR=$newRatio SR=$survivorRatio)"
+      f"cache=$cacheCap%.2f shuffle=$shuffleCap%.2f NR=$newRatio SR=${MemoryConf.survivorRatio})"
 }
 
 object MemoryConf {
-  /** ParallelGC's SurvivorRatio; the paper keeps the default throughout. */
-  val defaultSurvivorRatio: Int = 8
+  /** ParallelGC's SurvivorRatio: not a knob, the paper keeps the default (Sec 6.1). */
+  val survivorRatio: Int = 8
+
+  /** Heap Spark reserves; `spark.memory.fraction` is a fraction of the rest. */
+  val reservedMb: Double = 300.0
 
   /** Old-generation capacity: m_o = m_h * NR/(NR+1)  (paper Eq 3). */
   def oldMb(heapMb: Double, newRatio: Int): Double = heapMb * newRatio / (newRatio + 1)
 
   /** Eden capacity: m_e = m_h * 1/(NR+1) * (SR-2)/SR  (paper Eq 3). */
-  def edenMb(heapMb: Double, newRatio: Int, survivorRatio: Int): Double =
+  def edenMb(heapMb: Double, newRatio: Int): Double =
     heapMb / (newRatio + 1) * (survivorRatio - 2) / survivorRatio
 
   /** Build a configuration for `n` containers per node on `hw`. */

@@ -9,7 +9,6 @@ package repro.sim
   * to `maxOldOccupancyMb` (paper Sec 4.1 "Importance of full GC events").
   */
 final case class Profile(
-    conf: MemoryConf,
     cpuAvgPct: Double,
     diskAvgPct: Double,
     miMb: Double,
@@ -100,15 +99,15 @@ final class Simulator(val hw: Hardware) {
       else 0.0
     val taskSeconds = app.numTasks * tFull + iterWork
 
-    val jitter = 1.0 + 0.05 * gauss(seed ^ app.name.hashCode ^ conf.hashCode)
+    val key = conf.noiseKey
+    val jitter = 1.0 + 0.05 * gauss(seed ^ app.name.hashCode ^ key)
     val baseRuntime = taskSeconds / slotsTotal * jitter
 
     // Run-to-run variability only perturbs configurations that carry real
     // risk — a comfortably safe configuration never loses containers.
-    val pFailBase = f.pFail
     val pFail =
-      if (pFailBase < 0.03) pFailBase
-      else math.min(1.0, math.max(0.0, pFailBase + 0.04 * gauss(seed * 31 + 7 ^ conf.hashCode)))
+      if (f.pFail < 0.03) f.pFail
+      else GcModel.clamp(f.pFail + 0.04 * gauss(seed * 31 + 7 ^ key))
     val containers = hw.nodes * n
     val failed = math.max(0, math.round(pFail * containers).toInt)
     val aborted = pFail > abortThreshold
@@ -117,7 +116,6 @@ final class Simulator(val hw: Hardware) {
     val runtime = baseRuntime * (1.0 + retryPenalty * pFail) * (if (aborted) 0.8 else 1.0)
 
     val profile = Profile(
-      conf = conf,
       cpuAvgPct = math.min(1.0, cpuUtilRaw) * 100.0,
       diskAvgPct = math.min(1.0, diskUtilRaw) * 100.0,
       miMb = app.codeOverheadMb * (1.0 + 0.01 * gauss(seed + 11)),

@@ -18,15 +18,11 @@ object Tables {
 
   // ---------------------------------------------------------------- shared
 
-  final case class PolicyRow(
-      app: String,
-      policy: String,
-      conf: MemoryConf,
-      runtimeMin: Double,
-      failedContainers: Int,
-      aborted: Boolean,
-      iterations: Int,
-  )
+  /** A policy's pick for `app`, as the run it observed, and the stress tests it paid. */
+  final case class PolicyRow(app: String, policy: String, pick: Observation, iterations: Int) {
+    def conf: MemoryConf = pick.conf
+    def runtimeMin: Double = pick.result.runtimeMin
+  }
 
   private def fmtConf(c: MemoryConf): String =
     f"n=${c.containersPerNode} p=${c.taskConcurrency} cache=${c.cacheCap}%.2f " +
@@ -52,7 +48,7 @@ object Tables {
       "Task Concurrency" -> d.taskConcurrency.toString,
       "Cache Capacity + Shuffle Capacity" -> f"${d.cacheCap + d.shuffleCap}%.1f",
       "NewRatio" -> d.newRatio.toString,
-      "SurvivorRatio" -> d.survivorRatio.toString,
+      "SurvivorRatio" -> MemoryConf.survivorRatio.toString,
     )
   }
 
@@ -62,29 +58,25 @@ object Tables {
 
   // ------------------------------------------------ Table 5 (manual PageRank)
 
-  final case class ManualRow(containers: Int, p: Int, cacheCap: Double, nr: Int,
-                             result: RunResult)
-
   /** The paper's four manual-tuning steps for PageRank (Sec 3.5). */
-  def table5(): Seq[ManualRow] =
+  def table5(): Seq[RunResult] =
     Seq((2, 0.6, 2), (1, 0.6, 2), (2, 0.4, 2), (2, 0.6, 5)).map { case (p, cap, nr) =>
-      val c = MemoryConf.of(hw, 1, p, cap, 0.0, nr)
-      ManualRow(1, p, cap, nr, sim.run(AppModel.pageRank, c))
+      sim.run(AppModel.pageRank, MemoryConf.of(hw, 1, p, cap, 0.0, nr))
     }
 
-  def renderTable5(rows: Seq[ManualRow]): String =
+  def renderTable5(runs: Seq[RunResult]): String =
     render("Table 5 — Manual tuning of PageRank (paper: 66*/59/49/53 min)",
       Seq("Containers", "P", "Cache", "NR", "Runtime(min)", "CacheHit", "GC", "Status"),
-      rows.map(r => Seq(r.containers.toString, r.p.toString, f"${r.cacheCap}%.1f",
-        r.nr.toString, f"${r.result.runtimeMin}%.1f", f"${r.result.profile.hitRatio}%.2f",
-        f"${r.result.gcOverhead}%.2f",
-        if (r.result.aborted) "aborted" else s"${r.result.failedContainers} failures")))
+      runs.map(r => Seq(r.conf.containersPerNode.toString, r.conf.taskConcurrency.toString,
+        f"${r.conf.cacheCap}%.1f", r.conf.newRatio.toString, f"${r.runtimeMin}%.1f",
+        f"${r.profile.hitRatio}%.2f", f"${r.gcOverhead}%.2f",
+        if (r.aborted) "aborted" else s"${r.failedContainers} failures")))
 
   // --------------------------------------------------- Table 6 (stats vector)
 
   /** Statistics derived from the PageRank default-configuration profile. */
   def table6(): repro.core.Stats =
-    StatsGenerator.fromProfile(sim.run(AppModel.pageRank, MemoryConf.default(hw)).profile)
+    StatsGenerator.fromRun(sim.run(AppModel.pageRank, MemoryConf.default(hw)))
 
   /** The measured vector next to the paper's readings. */
   def renderTable6(st: repro.core.Stats): String =
@@ -148,13 +140,10 @@ object Tables {
 
     for (app <- AppModel.clusterASuite) {
       val space = new ConfigSpace(hw, app)
-      val defaultRun = sim.run(app, MemoryConf.default(hw), seed)
-      defaults += app.name -> defaultRun
+      defaults += app.name -> sim.run(app, MemoryConf.default(hw), seed)
 
       def record(policy: String, tr: TuningTrace): Unit =
-        rows += PolicyRow(app.name, policy, tr.recommended,
-          tr.best.result.runtimeMin, tr.best.result.failedContainers,
-          tr.best.result.aborted, tr.iterations)
+        rows += PolicyRow(app.name, policy, tr.best, tr.iterations)
 
       val exhTrace = Exhaustive.tune(space, new TuningEnv(app, sim, seed))
       exh += app.name -> exhTrace
@@ -171,11 +160,8 @@ object Tables {
         .tune(new TuningEnv(app, sim, seed)))
 
       val relm = RelM.tune(app, sim, seed)
-      val relmEnv = new TuningEnv(app, sim, seed)
-      val relmObs = relmEnv.evaluate(relm.recommended)
-      rows += PolicyRow(app.name, "RelM", relm.recommended,
-        relmObs.result.runtimeMin, relmObs.result.failedContainers,
-        relmObs.result.aborted, relm.profileRuns.size)
+      rows += PolicyRow(app.name, "RelM", new TuningEnv(app, sim, seed).evaluate(relm.recommended),
+        relm.profileRuns.size)
     }
     Table8Result(rows.result(), defaults, exh)
   }
@@ -187,7 +173,7 @@ object Tables {
     val table = render("Table 8 — Recommendations (runtime minutes; iterations = stress tests paid)",
       Seq("App", "Policy", "Conf", "Runtime", "Fail", "Iters"),
       t8.rows.map(r => Seq(r.app, r.policy, fmtConf(r.conf), f"${r.runtimeMin}%.1f",
-        r.failedContainers.toString, r.iterations.toString)))
+        r.pick.result.failedContainers.toString, r.iterations.toString)))
     val bars = t8.rows.map(_.app).distinct.map(a =>
       f"$a%-10s default=${t8.defaultRuns(a).runtimeMin}%.1fmin " +
         f"exhaustive-5%%ile=${t8.top5PctileMin(a)}%.1fmin")
@@ -225,24 +211,29 @@ object Tables {
 
   private def cell(body: => Any): Cell = () => () => body
 
-  /** Each cell's best-of-5 wall time in ms. Table 10 compares steady-state
-    * costs, so every cell first runs for 50 ms of warm-up (a body of a few
-    * microseconds, like RelM's, needs thousands of runs before the JIT
-    * compiles it), and all are warmed before any is timed: the JIT compiles
-    * in the background, so a cell timed right after its own warm-up may
-    * still run code that is yet to be compiled.
+  /** Each cell's wall time per call in ms, the best of 5 samples. Table 10
+    * compares steady-state costs, so every cell first runs for 50 ms of
+    * warm-up (a body of a few microseconds, like RelM's, needs thousands of
+    * runs before the JIT compiles it), and all are warmed before any is
+    * timed: the JIT compiles in the background. A sample runs a batch of
+    * setups untimed, then times their bodies, a tenth of the warm-up's runs
+    * (about 5 ms); one call's time depends on what ran before it.
     */
   private def timeCells(cells: Seq[Cell]): Seq[Double] = {
-    for (c <- cells) {
+    val batches = cells.map { c =>
+      var runs = 0
       val end = System.nanoTime() + 50000000L
-      do c()() while (System.nanoTime() < end)
+      do { c()(); runs += 1 } while (System.nanoTime() < end)
+      math.max(1, runs / 10)
     }
-    cells.map(c => (1 to 5).map { _ =>
-      val body = c()
-      val t0 = System.nanoTime()
-      body()
-      (System.nanoTime() - t0) / 1e6
-    }.min)
+    cells.zip(batches).map { case (c, k) =>
+      (1 to 5).map { _ =>
+        val bodies = Array.fill(k)(c())
+        val t0 = System.nanoTime()
+        bodies.foreach(_())
+        (System.nanoTime() - t0) / 1e6 / k
+      }.min
+    }
   }
 
   /** Measure one iteration's overhead components per policy (paper Table 10):
@@ -254,11 +245,10 @@ object Tables {
 
     // A training history to fit against (10 observations).
     val env = new TuningEnv(app, sim)
-    val samples = space.lhs(10, 0L)
-    samples.foreach(env.evaluate)
+    space.lhs(10, 0L).foreach(env.evaluate)
     val hist = env.history
     val run = hist.head.result
-    val stats = StatsGenerator.fromProfile(run.profile)
+    val stats = StatsGenerator.fromRun(run)
     val tau = hist.map(_.objective).min
 
     // BO/GBO: what `BayesOpt.tune` runs per iteration on a surrogate that
@@ -283,7 +273,7 @@ object Tables {
     val cands = RelM.candidates(stats, hw)
 
     val Seq(statsMs, qMs, boFit, boProbe, gboFit, gboProbe, ddpgFit, ddpgProbe, relmFit, relmProbe) =
-      timeCells(Seq(cell(StatsGenerator.fromProfile(run.profile)), cell(QModel.derive(stats, run.conf))) ++
+      timeCells(Seq(cell(StatsGenerator.fromRun(run)), cell(QModel.derive(stats, run.conf))) ++
         gpCells(bo) ++ gpCells(gbo) ++
         Seq(cell(ddpg.train()), cell(ddpg.actor(s0)), cell(RelM.candidates(stats, hw)), cell(cands.maxBy(_.utility))))
 

@@ -38,7 +38,7 @@ class ArbitratorSpec extends AnyFunSuite {
   test("line 11: shuffle memory is capped at half the per-task Eden share (Obs 7)") {
     val st = pageRankStats.copy(mcMb = 0, msMb = 2000, muMb = 200)
     val out = Arbitrator.arbitrate(st, 1, 4404, InitConf(0, 2000, 2, 1)).get
-    assert(out.msMb <= 0.5 * MemoryConf.edenMb(4404, out.nr, 8) / out.p + 1e-9)
+    assert(out.msMb <= 0.5 * MemoryConf.edenMb(4404, out.nr) / out.p + 1e-9)
   }
 
   test("line 13: utility is the productive fraction of heap") {

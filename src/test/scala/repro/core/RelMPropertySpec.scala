@@ -5,7 +5,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
-import repro.sim.{GcModel, Hardware}
+import repro.sim.{Hardware, MemoryConf}
 
 /** RelM's safety contract as a property over random hardware and random
   * profiled statistics, not only the five paper apps on Cluster A (those are
@@ -13,7 +13,7 @@ import repro.sim.{GcModel, Hardware}
   */
 class RelMPropertySpec extends AnyFunSuite {
 
-  private val reservedMb = GcModel.Constants.jvmReservedMb.toInt
+  private val reservedMb = MemoryConf.reservedMb.toInt
 
   /** Node heaps from 400 MB (a quarter of it below the reserved region) to
     * 64 GB, with the small ones drawn often enough to be exercised.

@@ -43,14 +43,14 @@ class RelMSpec extends AnyFunSuite {
   test("Fig 22: without full-GC events M_u is over-estimated by ~2 orders of magnitude") {
     val run = sim.run(AppModel.svm, MemoryConf.default(hw))
     assert(!run.profile.hasFullGc) // SVM's default profile lacks full GCs
-    val naive = StatsGenerator.fromProfile(run.profile)
+    val naive = StatsGenerator.fromRun(run)
     val factor = naive.muMb / AppModel.svm.taskUnmanagedMb
     assert(factor > 10 && factor < 200, s"over-estimation factor $factor")
   }
 
   test("Fig 22: over-estimated M_u yields over-provisioned (but safe) plans") {
     val run = sim.run(AppModel.svm, MemoryConf.default(hw))
-    val naive = StatsGenerator.fromProfile(run.profile)
+    val naive = StatsGenerator.fromRun(run)
     val goodRes = RelM.tune(AppModel.svm, sim)
     val cands = RelM.candidates(naive, hw)
     assert(cands.nonEmpty) // cache-free fallback keeps RelM total
@@ -68,7 +68,7 @@ class RelMSpec extends AnyFunSuite {
       n <- Seq(2, 4); p <- Seq(2); cap <- Seq(0.4, 0.6)
       run = sim.run(AppModel.kMeans, MemoryConf.of(hw, n, p, cap, 0.0, 2))
       if run.profile.hasFullGc
-    } yield StatsGenerator.fromProfile(run.profile)
+    } yield StatsGenerator.fromRun(run)
     assert(profiles.size >= 2)
     val mus = profiles.map(_.muMb)
     assert(mus.max / mus.min < 1.1) // little variance (log-scale plot in paper)

@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.sim.{GcModel, Hardware, MemoryConf}
+import repro.sim.{Hardware, MemoryConf}
 
 /** RelM's safety contract for one arbitrated plan: long-term demand fits Old
-  * (Algorithm 1, line 4) and beside the JVM's reserved region, concurrency
+  * (Algorithm 1, line 4) and beside the framework's reserved region, concurrency
   * within the core bound, NewRatio in 1..9 (Sec 6.1), shuffle within half the
   * per-task Eden share (line 11), and knob settings that leave δ of the
   * unified pool free. Returns the clauses `a` breaks; empty means safe.
@@ -15,8 +15,8 @@ object SafetyContract {
   def violations(st: Stats, hw: Hardware, a: Arbitrated): Seq[String] = {
     val demand = st.miMb + a.p * st.muMb + a.mcMb
     val old = MemoryConf.oldMb(a.mhMb, a.nr)
-    val fit = a.mhMb - GcModel.Constants.jvmReservedMb
-    val msCap = 0.5 * MemoryConf.edenMb(a.mhMb, a.nr, MemoryConf.defaultSurvivorRatio) / a.p
+    val fit = a.mhMb - MemoryConf.reservedMb
+    val msCap = 0.5 * MemoryConf.edenMb(a.mhMb, a.nr) / a.p
     val c = RelM.toConf(hw, a)
     Seq(
       (demand <= old + eps) -> f"demand $demand%.1fMB exceeds Old $old%.1fMB",

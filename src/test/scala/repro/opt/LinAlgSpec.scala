@@ -5,7 +5,8 @@ import repro.linalg.LinAlg
 
 class LinAlgSpec extends AnyFunSuite {
 
-  private def matMul(l: Array[Array[Double]], lt: Boolean): Array[Array[Double]] = {
+  /** L·Lᵀ. */
+  private def matMul(l: Array[Array[Double]]): Array[Array[Double]] = {
     val n = l.length
     Array.tabulate(n, n)((i, j) =>
       (0 until n).map(k => l(i)(k) * l(j)(k)).sum)
@@ -17,7 +18,7 @@ class LinAlgSpec extends AnyFunSuite {
       Array(2.0, 5.0, 1.0),
       Array(0.6, 1.0, 3.0))
     val l = LinAlg.cholesky(a)
-    val r = matMul(l, lt = true)
+    val r = matMul(l)
     for (i <- a.indices; j <- a.indices)
       assert(math.abs(r(i)(j) - a(i)(j)) < 1e-9)
     // lower-triangular
@@ -45,7 +46,7 @@ class LinAlgSpec extends AnyFunSuite {
       val a = Array.tabulate(n, n)((i, j) =>
         (0 until n).map(k => m(i)(k) * m(j)(k)).sum + (if (i == j) n.toDouble else 0.0))
       val l = LinAlg.cholesky(a)
-      val r = matMul(l, lt = true)
+      val r = matMul(l)
       for (i <- 0 until n; j <- 0 until n)
         assert(math.abs(r(i)(j) - a(i)(j)) < 1e-6, s"trial $trial")
     }

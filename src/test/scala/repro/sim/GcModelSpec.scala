@@ -18,7 +18,7 @@ class GcModelSpec extends AnyFunSuite {
       assert(math.abs(c.oldMb + c.youngMb - c.heapMb) < 1e-6)
       assert(math.abs(c.oldMb / c.youngMb - nr.toDouble) < 1e-9)
       assert(math.abs(c.edenMb + 2 * c.survivorMb - c.youngMb) < 1e-6)
-      assert(math.abs(c.edenMb / c.survivorMb - (c.survivorRatio - 2)) < 1e-9)
+      assert(math.abs(c.edenMb / c.survivorMb - (MemoryConf.survivorRatio - 2)) < 1e-9)
     }
   }
 
@@ -29,7 +29,7 @@ class GcModelSpec extends AnyFunSuite {
 
   test("unified pool is a fraction of heap minus the reserved region") {
     val c = conf(cache = 0.5, shuffle = 0.1)
-    assert(math.abs(c.unifiedMb - 0.6 * (c.heapMb - GcModel.Constants.jvmReservedMb)) < 1e-6)
+    assert(math.abs(c.unifiedMb - 0.6 * (c.heapMb - MemoryConf.reservedMb)) < 1e-6)
   }
 
   test("load: cache hit ratio is capacity-bound for cache-hungry apps") {

@@ -32,7 +32,7 @@ class HardwareConfSpec extends AnyFunSuite {
     assert(d.heapMb == 4404.0)
     assert(d.taskConcurrency == 2)
     assert(math.abs(d.cacheCap + d.shuffleCap - 0.6) < 1e-9)
-    assert(d.newRatio == 2 && d.survivorRatio == 8)
+    assert(d.newRatio == 2 && MemoryConf.survivorRatio == 8)
   }
 
   test("physical container cap shrinks with container count") {

@@ -22,25 +22,25 @@ class Table5ManualTuningSpec extends AnyFunSuite {
   }
 
   test("row 1 (default): the run aborts like the paper's 66-minute death") {
-    assert(rows(0).result.aborted)
+    assert(rows(0).aborted)
   }
 
   test("rows 2-4: each manual fix yields a reliable execution") {
-    for (r <- rows.drop(1)) assert(!r.result.aborted, r)
+    for (r <- rows.drop(1)) assert(!r.aborted, r)
   }
 
   test("row 3 (lower cache) is the fastest fix despite the lower hit ratio") {
     val fixes = rows.drop(1)
-    assert(fixes(1).result.runtimeSec == fixes.map(_.result.runtimeSec).min)
-    assert(fixes(1).result.profile.hitRatio < fixes(0).result.profile.hitRatio)
+    assert(fixes(1).runtimeSec == fixes.map(_.runtimeSec).min)
+    assert(fixes(1).profile.hitRatio < fixes(0).profile.hitRatio)
   }
 
   test("row 4 (NewRatio 5) prevents kills but pays GC versus row 3 (Obs 6)") {
-    assert(rows(3).result.safe)
-    assert(rows(3).result.gcOverhead > rows(2).result.gcOverhead)
+    assert(rows(3).safe)
+    assert(rows(3).gcOverhead > rows(2).gcOverhead)
   }
 
   test("cache hit ratio of the default row is near the paper's 0.3") {
-    assert(math.abs(rows(0).result.profile.hitRatio - 0.3) < 0.1)
+    assert(math.abs(rows(0).profile.hitRatio - 0.3) < 0.1)
   }
 }
