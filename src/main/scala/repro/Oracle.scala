@@ -1,8 +1,10 @@
 package repro
 
 import java.sql.DriverManager
+import java.util.{Collections, WeakHashMap}
 import java.util.concurrent.{Callable, ExecutionException, Executors, Future, TimeUnit}
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{classic, DataFrame, Row}
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.duckdb.DuckDBConnection
 
 /** DuckDB correctness oracle.
@@ -20,11 +22,37 @@ import org.duckdb.DuckDBConnection
   * has ended when the call returns or throws, and a job's exception is
   * rethrown as is.
   *
+  * A table whose whole plan reads a CacheManager entry (``df.cache()``
+  * before ``df``'s first action) is collected once per entry: a later call
+  * with the same ``DataFrame`` reuses its rows and starts no job for it,
+  * until the entry goes (``unpersist()``). Every other table, and
+  * ``sparkDf``, is collected on every call. The reused rows are those the
+  * first collect read; if Spark later recomputes a lost cache partition
+  * from a nondeterministic plan, the cache can hold other rows than these.
+  *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
   */
 object Oracle {
+
+  /** Rows collected from tables that read a live cache entry. */
+  private val cachedRows = Collections.synchronizedMap(new WeakHashMap[DataFrame, Array[Row]])
+
+  /** Whether `df`'s whole plan reads a CacheManager entry that is still the
+    * entry for that plan. A `DataFrame` fixes its plan at its first action,
+    * and a dropped entry never comes back, so while this holds `df` reads
+    * the entry it read before. The entries compare by `eq`: `CachedRDDBuilder`
+    * is a case class, and the entry of an `unpersist()` then `cache()` equals
+    * the one it replaced, which `df` still reads, recomputing its rows.
+    */
+  private def readsLiveCache(df: DataFrame): Boolean = df.queryExecution.withCachedData match {
+    case r: InMemoryRelation =>
+      df.sparkSession.asInstanceOf[classic.SparkSession].sharedState.cacheManager
+        .lookupCachedData(df.asInstanceOf[classic.Dataset[_]])
+        .exists(_.cachedRepresentation.cacheBuilder eq r.cacheBuilder)
+    case _ => false
+  }
 
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
     val order = cols.sorted
@@ -52,7 +80,21 @@ object Oracle {
       try rows.get() catch { case e: ExecutionException => throw e.getCause }
     try {
       val sparkRows = collect(sparkDf)
-      val tableRows = tables.map { case (_, df) => collect(df) }
+      // Each table's rows: reused if read from its live cache entry before,
+      // else collected now and, if cached, stored once they arrive.
+      val tableRows = tables.map { case (_, df) =>
+        val cached = readsLiveCache(df)
+        val reused = if (cached) cachedRows.get(df) else null
+        if (reused != null) () => reused
+        else {
+          val job = collect(df)
+          () => {
+            val rows = await(job)
+            if (cached) cachedRows.put(df, rows)
+            rows
+          }
+        }
+      }
       Class.forName("org.duckdb.DuckDBDriver")
       val conn = DriverManager.getConnection("jdbc:duckdb:")
       try {
@@ -62,7 +104,7 @@ object Oracle {
             s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
           )
           val app = conn.unwrap(classOf[DuckDBConnection]).createAppender("main", name)
-          try await(rows).foreach { r =>
+          try rows().foreach { r =>
             app.beginRow()
             cols.indices.foreach(i => app.append(Option(r.get(i)).map(_.toString).orNull))
             app.endRow()

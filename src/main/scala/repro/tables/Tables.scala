@@ -294,9 +294,9 @@ object Tables {
     render("Table 10 — Algorithm overheads per iteration",
       "Component" +: rows.map(_.policy),
       Seq(
-        "Statistics Collection (ms)" +: rows.map(r => f"${r.statsCollectMs}%.3f"),
-        "Model Fitting (ms)" +: rows.map(r => f"${r.fitMs}%.3f"),
-        "Model Probing (ms)" +: rows.map(r => f"${r.probeMs}%.3f"),
+        "Statistics Collection (ms)" +: rows.map(r => f"${r.statsCollectMs}%.3g"),
+        "Model Fitting (ms)" +: rows.map(r => f"${r.fitMs}%.3g"),
+        "Model Probing (ms)" +: rows.map(r => f"${r.probeMs}%.3g"),
         "Model Size (bytes)" +: rows.map(r =>
           if (r.modelSizeBytes == 0) "-" else r.modelSizeBytes.toString),
       ))

@@ -1,7 +1,9 @@
 package repro
 
 import java.sql.SQLException
+import java.util.UUID
 import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.{ListenerBusDrain, SparkException}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
@@ -12,6 +14,24 @@ class OracleSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val kv = Seq(("a", Some("x")), ("b", None), ("c", None)).toDF("k", "v")
+
+  /** The number of Spark jobs `body` starts, counted in a job group of its own. */
+  private def jobsOf(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val group = s"oracle-spec-${UUID.randomUUID}"
+    val started = new ConcurrentLinkedQueue[Int]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty("spark.jobGroup.id") == group) started.add(e.jobId)
+    }
+    sc.addSparkListener(listener)
+    sc.setJobGroup(group, "jobs counted by OracleSpec")
+    try { body; ListenerBusDrain(sc); started.size }
+    finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+  }
 
   test("null cells load as SQL NULL, not the string \"null\"") {
     Oracle.assertEquivalent(kv.agg(count("v") as "n"), "SELECT COUNT(v) AS n FROM kv", "kv" -> kv)
@@ -107,5 +127,76 @@ class OracleSpec extends SparkSpec {
       sc.clearJobGroup()
       sc.removeSparkListener(listener)
     }
+  }
+
+  test("a cached table is collected once per cache entry, an uncached one on every call") {
+    val cached = spark.range(0, 6, 1, 2).toDF("id").cache()
+    val plain = spark.range(0, 4, 1, 2).toDF("id")
+    val q = Seq(0L, 1L, 2L, 3L).toDF("id")
+    try {
+      cached.count()
+      val (own, jc, ju) = (jobsOf(q.collect()), jobsOf(cached.collect()), jobsOf(plain.collect()))
+      assert(jc > 0 && ju > 0, s"cached $jc, plain $ju")
+      def call() = jobsOf(Oracle.assertEquivalent(q, "SELECT c.id FROM c JOIN p ON c.id = p.id",
+        "c" -> cached, "p" -> plain))
+      assert(call() == own + jc + ju)
+      assert(call() == own + ju)
+    } finally cached.unpersist(blocking = true)
+  }
+
+  test("a table cached again after unpersist() is compared by its new rows") {
+    // Stands for a source whose rows change: a DataFrame cached again
+    // after unpersist() recomputes its rows, and they now read v = 2.
+    val version = new AtomicLong(1)
+    val v = udf(() => version.get).asNondeterministic()
+    val t = spark.range(0, 3, 1, 1).select(col("id"), v() as "v").cache()
+    try {
+      t.count()
+      Oracle.assertEquivalent(t, "SELECT id, v FROM t", "t" -> t)
+      version.set(2)
+      t.unpersist(blocking = true)
+      t.cache().count()
+      assert(t.collect().map(_.getLong(1)).toSet == Set(2L))
+      Oracle.assertEquivalent(t, "SELECT id, v FROM t", "t" -> t)
+    } finally t.unpersist(blocking = true)
+  }
+
+  test("a table first collected before cache() is collected on every call") {
+    // Its plan was fixed at that first collect, so it never reads the cache.
+    val version = new AtomicLong(1)
+    val v = udf(() => version.get).asNondeterministic()
+    val t = spark.range(0, 3, 1, 1).select(col("id"), v() as "v")
+    try {
+      t.collect()
+      t.cache().count()
+      Oracle.assertEquivalent(t, "SELECT id, v FROM t", "t" -> t)
+      version.set(2)
+      Oracle.assertEquivalent(t, "SELECT id, v FROM t", "t" -> t)
+    } finally t.unpersist(blocking = true)
+  }
+
+  test("a wrong Spark result over a reused cached table is rejected") {
+    val t = Seq(("a", Some("x")), ("b", None), ("c", None)).toDF("k", "v").cache()
+    val wrong = t.where(col("k") =!= "c")
+    try {
+      t.count()
+      Oracle.assertEquivalent(t, "SELECT k, v FROM t", "t" -> t)
+      val own = jobsOf(wrong.collect())
+      var e: IllegalArgumentException = null
+      val jobs = jobsOf { e = intercept[IllegalArgumentException](Oracle.assertEquivalent(wrong, "SELECT k, v FROM t", "t" -> t)) }
+      assert(jobs == own, "the table was collected again")
+      assert(e.getMessage.contains("result mismatch"), e.getMessage)
+    } finally t.unpersist(blocking = true)
+  }
+
+  test("a cached table whose collect threw is collected again on the next call") {
+    val boom = udf((i: Long) => { if (i >= 0) throw new IllegalStateException("boom"); i })
+    val failing = spark.range(3).select(boom(col("id")) as "k").cache()
+    val q = kv.select("k")
+    try {
+      val own = jobsOf(q.collect())
+      for (_ <- 1 to 2)
+        assert(jobsOf(intercept[SparkException](Oracle.assertEquivalent(q, "SELECT k FROM t", "t" -> failing))) > own)
+    } finally failing.unpersist(blocking = true)
   }
 }

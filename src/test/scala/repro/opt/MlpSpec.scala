@@ -158,4 +158,16 @@ class MlpSpec extends AnyFunSuite {
     val net = new Mlp(Array(4, 8, 2), outTanh = true, seed = 9)
     assert(net.paramCount == 4 * 8 + 8 + 8 * 2 + 2)
   }
+
+  test("Lcg draws the doubles of scala.util.Random, bit for bit") {
+    val seeds = Seq(0L, -1L, 1L, 7L, 0x5DEECE66DL, Long.MinValue, Long.MaxValue) ++ (-20L to 20L)
+    for (seed <- seeds) {
+      val lcg = new Mlp.Lcg(seed)
+      val rnd = new scala.util.Random(seed)
+      val bad = (0 until 10176).find { _ =>
+        java.lang.Double.doubleToRawLongBits(lcg.nextDouble()) != java.lang.Double.doubleToRawLongBits(rnd.nextDouble())
+      }
+      assert(bad.isEmpty, s"seed $seed: draw ${bad.getOrElse(-1)} differs")
+    }
+  }
 }

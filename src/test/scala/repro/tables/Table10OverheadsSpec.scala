@@ -59,4 +59,11 @@ class Table10OverheadsSpec extends AnyFunSuite {
       assert(r.probeMs >= 0 && r.probeMs < 60000)
     }
   }
+
+  test("a sub-microsecond cell renders with its significant digits, not as 0.000") {
+    val out = Tables.renderTable10(Seq(Tables.OverheadRow("RelM", statsCollectMs = 0.0002,
+      fitMs = 0.0152, probeMs = 12.345, modelSizeBytes = 0L)))
+    val cells = out.linesIterator.drop(3).map(_.split('|').map(_.trim).filter(_.nonEmpty)(1)).toSeq
+    assert(cells == Seq("0.000200", "0.0152", "12.3", "-"), out)
+  }
 }
